@@ -38,6 +38,7 @@ from .gaussian import (
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
+    std_normal_quantile_log,
     std_normal_sf,
 )
 from .paradox import (
@@ -98,6 +99,7 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
+    "std_normal_quantile_log",
     "std_normal_sf",
     "threshold_schedule",
 ]

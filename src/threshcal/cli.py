@@ -27,13 +27,20 @@ trials = 100000, seed = 0.  Command-line flags override file fields.
 
 All randomness flows from the single job seed through fixed stream indices:
 verify uses stream 1 (one child per schedule row), simulate minimal_effort
-stream 2, simulate paradox stream 3, expected-max stream 4.  Repeated runs
-with the same inputs are byte-identical.
+stream 2, simulate paradox stream 3 (one child per n_list row, whose
+simulated maxima are scored against both the fixed and the scheduled
+threshold), expected-max stream 4.  Repeated runs with the same inputs are
+byte-identical.
 
 Tables go to standard output as CSV with a header row and 12-significant-
-digit numbers; diagnostics go to standard error.  Exit codes: 0 success,
-1 input error, 2 infeasibility (no threshold can meet the target),
-3 verification failure.
+digit numbers; diagnostics go to standard error.  Exit codes:
+
+    0  success
+    1  input error, including an unreadable job or schedule file and an
+       --out path that cannot be written
+    2  infeasibility (no threshold can meet the target), or a quadrature
+       that exhausts its budget before converging
+    3  verification failure
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from .errors import (
     InfeasibilityError,
     InfeasibleConditioningError,
     InsufficientDataError,
+    IntegrationError,
     SolverError,
 )
 from .gaussian import SeededStream, std_normal_quantile
@@ -399,9 +407,12 @@ def _load_job(args) -> JobSpec:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise JobError(f"cannot write output file {out_path}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -425,13 +436,16 @@ def main(argv=None) -> int:
             code, text = cmd_verify(_load_job(args), schedule_text)
         else:
             code, text = cmd_simulate(_load_job(args), args.mode)
+        _emit(text, args.out)
     except (JobError, DomainError, ConfigurationError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (InfeasibilityError, InfeasibleConditioningError, SolverError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    _emit(text, args.out)
+    except IntegrationError as exc:
+        print(f"error: quadrature did not converge: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     return code
 
 

@@ -7,9 +7,9 @@ constraints shape the implementation:
 * CDF powers Phi(x)**n are needed for sample sizes up to 1e6, far past the
   point where naive powering underflows, so the log-CDF carries a dedicated
   asymptotic branch in the deep left tail.
-* Simulation results must be bit-reproducible for a fixed seed no matter how
-  the work is partitioned, so all randomness flows through a counter-based
-  generator keyed by (seed, stream_index, *path).
+* Simulation results must be bit-reproducible for a fixed seed, so all
+  randomness flows through a counter-based generator keyed by
+  (seed, stream_index, *path).
 """
 
 from __future__ import annotations
@@ -115,7 +115,8 @@ def log_cdf_power(x: float, n: int) -> float:
 
 
 # Acklam's rational approximation to the inverse normal CDF (~1.15e-9
-# relative accuracy), polished below with a Halley step against erfc.
+# relative accuracy).  The tail ratio is evaluated in r = 1/q, which is the
+# same rational function but cannot overflow for any finite q.
 _ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
           1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
@@ -125,22 +126,55 @@ _ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00
 _ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
           3.754408661907416e+00)
 _ACK_P_LOW = 0.02425
+_ACK_LOG_P_LOW = math.log(_ACK_P_LOW)
+_ACK_LOG_P_HIGH = math.log1p(-_ACK_P_LOW)
 
 
-def _acklam(p: float) -> float:
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    if p < _ACK_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if p > 1.0 - _ACK_P_LOW:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        return -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                 / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    q = p - 0.5
+def _acklam_tail(q):
+    """Lower-tail branch at q = sqrt(-2 ln p); works on floats and arrays."""
+    c, d = _ACK_C, _ACK_D
+    r = 1.0 / q
+    num = ((((c[5] * r + c[4]) * r + c[3]) * r + c[2]) * r + c[1]) * r + c[0]
+    den = (((r + d[3]) * r + d[2]) * r + d[1]) * r + d[0]
+    return q * num / den
+
+
+def _acklam_central(q):
+    """Central branch at q = p - 1/2; works on floats and arrays."""
+    a, b = _ACK_A, _ACK_B
     r = q * q
     return ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
+
+
+def _acklam(p: float) -> float:
+    if p < _ACK_P_LOW:
+        return _acklam_tail(math.sqrt(-2.0 * math.log(p)))
+    if p > 1.0 - _ACK_P_LOW:
+        return -_acklam_tail(math.sqrt(-2.0 * math.log1p(-p)))
+    return _acklam_central(p - 0.5)
+
+
+def std_normal_quantile_log(log_p) -> np.ndarray:
+    """Phi^-1(exp(log_p)) elementwise, for log_p in [-inf, 0].
+
+    Acklam's approximation without polish (numpy has no erfc to polish
+    against), so the relative error is about 1.2e-9.  The argument is a
+    log-probability so that maxima of many draws keep their digits: the
+    lower tail uses log_p directly and the upper tail takes 1 - p as
+    -expm1(log_p).  The ends map to -inf (log_p = -inf) and +inf
+    (log_p = 0).
+    """
+    lp = np.asarray(log_p, dtype=float)
+    out = np.empty_like(lp)
+    low = lp < _ACK_LOG_P_LOW
+    high = lp > _ACK_LOG_P_HIGH
+    mid = ~(low | high)
+    with np.errstate(divide="ignore"):
+        out[low] = _acklam_tail(np.sqrt(-2.0 * lp[low]))
+        out[high] = -_acklam_tail(np.sqrt(-2.0 * np.log(-np.expm1(lp[high]))))
+    out[mid] = _acklam_central(np.exp(lp[mid]) - 0.5)
+    return out
 
 
 def std_normal_quantile(p: float) -> float:
@@ -278,8 +312,8 @@ class SeededStream:
 
     The same (seed, stream_index) always yields the same draw sequence;
     distinct stream indices yield statistically independent sequences.
-    Monte Carlo code derives per-block substreams through child()/generator
-    paths, which is what makes results independent of work partitioning.
+    Monte Carlo code derives per-row and per-block substreams through
+    child()/generator paths.
     """
 
     seed: int

@@ -6,18 +6,29 @@ designer, show how rejection rates climb with extra measurements under a
 fixed test threshold, and cross-check the conditional-exceedance integrals
 by rejection sampling.
 
-Every simulation is partitioned into fixed-size blocks.  Block b draws from
-the substream stream.generator(b) and reduces to integer counts or
-correctly-rounded (math.fsum) partial sums, so the combined result is
-bit-identical for a fixed seed no matter how many workers computed the
-blocks or in which order they finished.
+No kernel draws a whole sample.  The maximum of n iid standard normals has
+the law Phi^-1(U^(1/n)) for a single uniform U (Renyi 1953; Devroye 1986,
+Non-Uniform Random Variate Generation, ch. 2), so every trial draws ln U
+once and compares its row maximum against cutoffs:
+
+* at a fixed scale, "max * sigma <= t" is exactly ln U <= n ln Phi(t/sigma),
+  one scalar cutoff per threshold;
+* "one further draw exceeds the maximum of n" is exactly n ln V > ln U for
+  a second uniform V, a Bernoulli(1/(n+1)) event;
+* where the value of the maximum is needed (a random scale, a mean, a
+  ratio of two maxima) it is std_normal_quantile_log(ln U / n).
+
+A trial therefore costs a fixed number of draws whatever the count.  Every
+simulation runs over a fixed plan of _BLOCK_TRIALS-trial blocks: block b
+draws from the substream stream.generator(b) and reduces to integer counts
+or correctly-rounded (math.fsum) partial sums, so the result is
+bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,15 +40,23 @@ from .gaussian import (
     _require_count,
     _require_finite,
     integrate,
+    log_cdf_power,
     log_std_normal_cdf,
     std_normal_pdf,
+    std_normal_quantile_log,
 )
 
 # Euler-Mascheroni constant, the limit of euler_gamma_partial.
 EULER_GAMMA = 0.5772156649015329
 
-# Block sizing targets about 32 MB of draws per block.
-_BLOCK_TARGET_FLOATS = 1 << 22
+# Trials per block of the fixed block plan; a block's temporaries stay at a
+# few arrays of this length whatever the measurement count.
+_BLOCK_TRIALS = 1 << 16
+
+# Floor on the standard exponential behind ln U.  The generator can return
+# exactly 0 (ln U = 0, an infinite maximum); every other value it returns
+# lies far above this floor, so the floor only keeps U inside (0, 1).
+_MIN_EXPONENTIAL = 2.0 ** -100
 
 _MODES = ("fixed_sigma", "minimal_effort")
 _RULE_KINDS = ("fixed_threshold", "schedule")
@@ -111,65 +130,64 @@ def _binomial_report(successes: int, trials: int, accepted_runs: int) -> Simulat
                             trials=trials, accepted_runs=accepted_runs)
 
 
-def _block_plan(trials: int, draws_per_trial: int) -> list[int]:
-    block = max(256, _BLOCK_TARGET_FLOATS // max(1, draws_per_trial))
-    sizes = []
-    remaining = trials
-    while remaining > 0:
-        take = min(block, remaining)
-        sizes.append(take)
-        remaining -= take
-    return sizes
+def _block_plan(trials: int) -> list[int]:
+    """Trial counts of the fixed block plan: full blocks, then the remainder."""
+    full, rest = divmod(trials, _BLOCK_TRIALS)
+    return [_BLOCK_TRIALS] * full + ([rest] if rest else [])
 
 
-def _map_blocks(stream: SeededStream, trials: int, draws_per_trial: int,
-                block_fn: Callable[[np.random.Generator, int], tuple],
-                workers: int = 1) -> list[tuple]:
-    """Run block_fn over the fixed block plan, in block-index order.
+def _map_blocks(stream: SeededStream, trials: int,
+                block_fn: Callable[[np.random.Generator, int], tuple]) -> list[tuple]:
+    """block_fn(stream.generator(b), size) for every block b of the plan, in order."""
+    return [block_fn(stream.generator(b), size)
+            for b, size in enumerate(_block_plan(trials))]
 
-    Block b always sees the generator stream.generator(b) and the same
-    trial count, so the list of per-block results does not depend on the
-    worker count.
+
+def _log_uniform(gen: np.random.Generator, size: int) -> np.ndarray:
+    """ln U for size uniforms U on the open interval (0, 1)."""
+    return -np.maximum(gen.standard_exponential(size), _MIN_EXPONENTIAL)
+
+
+def _count_maxima_above(stream: SeededStream, trials: int,
+                        cutoffs: Sequence[float]) -> list[int]:
+    """Per cutoff c, the number of trials whose row maximum exceeds it.
+
+    Each trial draws one ln U, shared by every cutoff; with
+    c = n ln Phi(t/sigma), "ln U > c" is "max of n draws at scale sigma
+    exceeds t".
     """
-    workers = _require_count("workers", workers)
-    sizes = _block_plan(trials, draws_per_trial)
+    def block(gen, size):
+        log_u = _log_uniform(gen, size)
+        return tuple(int(np.count_nonzero(log_u > c)) for c in cutoffs)
 
-    def run(task):
-        idx, size = task
-        return block_fn(stream.generator(idx), size)
-
-    tasks = list(enumerate(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, tasks))
-    return [run(task) for task in tasks]
+    return [sum(col) for col in zip(*_map_blocks(stream, trials, block))]
 
 
-def simulate_minimal_effort(n: int, trials: int, stream: SeededStream,
-                            workers: int = 1) -> SimulationReport:
+def simulate_minimal_effort(n: int, trials: int, stream: SeededStream) -> SimulationReport:
     """Exceedance frequency for the minimal-effort designer.
 
-    Each trial draws n variates, rescales the whole sample so its maximum
-    sits exactly on the test threshold, then draws one further variate at
-    the same scale and records whether it crosses the threshold.  Rescaling
-    by a positive factor preserves order, so the event reduces to "the
-    extra raw draw exceeds the raw sample maximum" and the threshold value
-    drops out; the expected frequency is the exchangeability law 1/(n+1).
+    Each trial takes the maximum of n variates, rescales the sample so the
+    maximum sits exactly on the test threshold, then takes one further
+    variate at the same scale and records whether it crosses the
+    threshold.  Rescaling by a positive factor preserves order, so the
+    event reduces to "the extra raw draw exceeds the raw sample maximum"
+    and the threshold value drops out; the expected frequency is the
+    exchangeability law 1/(n+1).  With the maximum as Phi^-1(U^(1/n)) and
+    the extra draw as Phi^-1(V), the event is n ln V > ln U.
     """
     n = _require_count("n", n)
     trials = _require_count("trials", trials)
 
     def block(gen, size):
-        z = gen.standard_normal((size, n + 1))
-        return (int((z[:, n] > z[:, :n].max(axis=1)).sum()),)
+        log_u = _log_uniform(gen, size)
+        log_v = _log_uniform(gen, size)
+        return (int(np.count_nonzero(n * log_v > log_u)),)
 
-    parts = _map_blocks(stream, trials, n + 1, block, workers)
-    exceed = sum(p[0] for p in parts)
+    exceed = sum(p[0] for p in _map_blocks(stream, trials, block))
     return _binomial_report(exceed, trials, accepted_runs=trials)
 
 
-def simulate_compliance(scenario: DesignScenario, rule_kind: str,
-                        workers: int = 1) -> SimulationReport:
+def simulate_compliance(scenario: DesignScenario, rule_kind: str) -> SimulationReport:
     """Rejection frequency of a designer tested under a standard.
 
     rule_kind "fixed_threshold" applies the base threshold t(n_required)
@@ -186,12 +204,8 @@ def simulate_compliance(scenario: DesignScenario, rule_kind: str,
         _, applied_t = rule.entry_for(scenario.n_performed)
 
     if scenario.mode == "fixed_sigma":
-        sigma = scenario.sigma_true
-
-        def block(gen, size):
-            z = gen.standard_normal((size, scenario.n_performed))
-            return (int((z.max(axis=1) * sigma > applied_t).sum()),)
-
+        cutoff = log_cdf_power(applied_t / scenario.sigma_true, scenario.n_performed)
+        rejected = _count_maxima_above(scenario.stream, scenario.trials, [cutoff])[0]
     else:
         n_req = rule.n_required
         if rule.threshold <= 0.0:
@@ -202,36 +216,35 @@ def simulate_compliance(scenario: DesignScenario, rule_kind: str,
         # testing the rest against applied_t is scale-free: reject exactly
         # when max(extras) > max(first n_req) * (applied_t / base_t).
         ratio = applied_t / rule.threshold
+        n_extra = scenario.n_performed - n_req
 
         def block(gen, size):
-            if scenario.n_performed == n_req:
-                return (0,)
-            z = gen.standard_normal((size, scenario.n_performed))
-            m_req = z[:, :n_req].max(axis=1)
-            m_extra = z[:, n_req:].max(axis=1)
-            return (int((m_extra > m_req * ratio).sum()),)
+            m_req = std_normal_quantile_log(_log_uniform(gen, size) / n_req)
+            m_extra = std_normal_quantile_log(_log_uniform(gen, size) / n_extra)
+            return (int(np.count_nonzero(m_extra > m_req * ratio)),)
 
-    parts = _map_blocks(scenario.stream, scenario.trials, scenario.n_performed,
-                        block, workers)
-    rejected = sum(p[0] for p in parts)
+        rejected = 0 if n_extra == 0 else sum(
+            p[0] for p in _map_blocks(scenario.stream, scenario.trials, block))
     return _binomial_report(rejected, scenario.trials,
                             accepted_runs=scenario.trials - rejected)
 
 
 def paradox_curve(spec: SafetySpec, prior: SigmaPrior, sigma_true: float,
                   rule: StandardRule, n_list: Sequence[int], trials: int,
-                  stream: SeededStream, workers: int = 1) -> list[ParadoxPoint]:
+                  stream: SeededStream) -> list[ParadoxPoint]:
     """Rejection rates against measurement count, under both rule readings.
 
-    One pair of compliance simulations per count: the fixed-threshold rate
-    climbs with n' (more chances to cross the same bar) while the schedule
-    rate follows the count-matched threshold.  spec and prior record the
-    calibration context the rule came from; they are not re-derived here.
+    One simulated sample maximum per trial and count, scored against both
+    the fixed threshold (which rejects more as n' grows: more chances to
+    cross the same bar) and the count-matched schedule entry.  The two
+    readings share their draws, so they coincide exactly where the
+    thresholds do.  spec and prior record the calibration context the
+    rule came from; they are not re-derived here.
 
-    Row r draws from stream.child(r, 0) for the fixed reading and
-    stream.child(r, 1) for the schedule reading.
+    Row r draws from stream.child(r).
     """
-    _require_finite("sigma_true", sigma_true)
+    sigma_true = _positive_sigma(sigma_true)
+    trials = _require_count("trials", trials)
     if not n_list:
         raise DomainError("n_list must not be empty")
     counts = [_require_count("n'", n) for n in n_list]
@@ -246,29 +259,26 @@ def paradox_curve(spec: SafetySpec, prior: SigmaPrior, sigma_true: float,
 
     points = []
     for row, n_prime in enumerate(counts):
-        base = DesignScenario(mode="fixed_sigma", sigma_true=sigma_true, rule=rule,
-                              n_performed=n_prime, trials=trials,
-                              stream=stream.child(row, 0))
-        fixed = simulate_compliance(base, "fixed_threshold", workers=workers)
-        sched = simulate_compliance(replace(base, stream=stream.child(row, 1)),
-                                    "schedule", workers=workers)
+        thresholds = (rule.threshold, rule.entry_for(n_prime)[1])
+        cutoffs = [log_cdf_power(t / sigma_true, n_prime) for t in thresholds]
+        fixed, sched = _count_maxima_above(stream.child(row), trials, cutoffs)
         points.append(ParadoxPoint(n_prime=n_prime,
-                                   rejection_fixed=fixed.estimate,
-                                   rejection_schedule=sched.estimate))
+                                   rejection_fixed=fixed / trials,
+                                   rejection_schedule=sched / trials))
     return points
 
 
 def estimate_conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
                                     prior: SigmaPrior, trials: int,
-                                    stream: SeededStream,
-                                    workers: int = 1) -> SimulationReport:
+                                    stream: SeededStream) -> SimulationReport:
     """Rejection-sampling estimate of the conditional exceedance.
 
-    Draw a scale from the prior, draw n variates at that scale, keep the
-    run when its maximum stays within the threshold, and report the
-    fraction of kept runs whose one further draw exceeds q0.  This is the
-    sampling counterpart of conditional_exceedance and shares no code with
-    its quadrature; the standard error is binomial over the kept runs.
+    Draw a scale from the prior and the maximum of n variates at that
+    scale, keep the run when the maximum stays within the threshold, and
+    report the fraction of kept runs whose one further draw exceeds q0.
+    This is the sampling counterpart of conditional_exceedance and shares
+    no code with its quadrature; the standard error is binomial over the
+    kept runs.
     """
     threshold = _require_finite("threshold", threshold)
     n = _require_count("n", n)
@@ -276,12 +286,12 @@ def estimate_conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
 
     def block(gen, size):
         sigma = prior.sample(gen, size)
-        z = gen.standard_normal((size, n + 1))
-        accepted = z[:, :n].max(axis=1) * sigma <= threshold
-        exceed = (z[:, n] * sigma > spec.q0) & accepted
-        return int(accepted.sum()), int(exceed.sum())
+        peak = std_normal_quantile_log(_log_uniform(gen, size) / n)
+        accepted = peak * sigma <= threshold
+        exceed = (gen.standard_normal(size) * sigma > spec.q0) & accepted
+        return int(np.count_nonzero(accepted)), int(np.count_nonzero(exceed))
 
-    parts = _map_blocks(stream, trials, n + 1, block, workers)
+    parts = _map_blocks(stream, trials, block)
     kept = sum(p[0] for p in parts)
     exceed = sum(p[1] for p in parts)
     if kept == 0:
@@ -320,8 +330,8 @@ def expected_max_exact(n: int, sigma: float = 1.0, rel_tol: float = 1e-11) -> fl
     return sigma * integrate(integrand, -window, window, rel_tol=rel_tol, abs_tol=1e-13)
 
 
-def expected_max_monte_carlo(n: int, sigma: float, trials: int, stream: SeededStream,
-                             workers: int = 1) -> tuple[float, float]:
+def expected_max_monte_carlo(n: int, sigma: float, trials: int,
+                             stream: SeededStream) -> tuple[float, float]:
     """Mean of per-trial maxima with its standard error."""
     n = _require_count("n", n)
     sigma = _positive_sigma(sigma)
@@ -330,10 +340,10 @@ def expected_max_monte_carlo(n: int, sigma: float, trials: int, stream: SeededSt
         raise DomainError("need at least 2 trials for a standard error")
 
     def block(gen, size):
-        m = gen.standard_normal((size, n)).max(axis=1)
-        return math.fsum(m), math.fsum(m * m)
+        m = std_normal_quantile_log(_log_uniform(gen, size) / n)
+        return math.fsum(m.tolist()), math.fsum((m * m).tolist())
 
-    parts = _map_blocks(stream, trials, n, block, workers)
+    parts = _map_blocks(stream, trials, block)
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)
     mean = total / trials
@@ -342,8 +352,7 @@ def expected_max_monte_carlo(n: int, sigma: float, trials: int, stream: SeededSt
 
 
 def expected_max(n: int, sigma: float = 1.0, method: str = "exact",
-                 trials: int = 100_000, stream: SeededStream | None = None,
-                 workers: int = 1) -> float:
+                 trials: int = 100_000, stream: SeededStream | None = None) -> float:
     """Average value of the maximum of n draws at scale sigma.
 
     method "asymptotic" evaluates the gamma-prefactor shorthand, "exact"
@@ -359,7 +368,7 @@ def expected_max(n: int, sigma: float = 1.0, method: str = "exact",
         return expected_max_exact(n, sigma)
     if stream is None:
         raise DomainError("method 'monte_carlo' needs a SeededStream")
-    return expected_max_monte_carlo(n, sigma, trials, stream, workers=workers)[0]
+    return expected_max_monte_carlo(n, sigma, trials, stream)[0]
 
 
 def euler_gamma_partial(n: int) -> float:

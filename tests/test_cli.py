@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from threshcal import cli
 from threshcal.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
@@ -14,6 +15,7 @@ from threshcal.cli import (
     JobSpec,
     main,
 )
+from threshcal.errors import IntegrationError
 from threshcal.gaussian import std_normal_quantile
 
 
@@ -295,6 +297,27 @@ class TestExpectedMaxCommand:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+class TestFailureExitCodes:
+    def test_unwritable_out_path_is_input_error(self, capsys, tmp_path):
+        target = tmp_path / "missing_dir" / "schedule.csv"
+        code, out, err = run_cli(capsys, "calibrate", "--out", str(target))
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert "cannot write output file" in err
+        assert not target.exists()
+
+    def test_quadrature_failure_exits_2(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise IntegrationError("quadrature budget exhausted", estimate=0.5,
+                                   error_bound=0.1)
+
+        monkeypatch.setattr(cli, "calibrate_threshold", exhausted)
+        code, out, err = run_cli(capsys, "calibrate")
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert "quadrature did not converge" in err
 
 
 class TestArgumentHandling:

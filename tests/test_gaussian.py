@@ -24,6 +24,7 @@ from threshcal.gaussian import (
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
+    std_normal_quantile_log,
     std_normal_sf,
 )
 
@@ -112,6 +113,50 @@ class TestStdNormalQuantile:
     def test_rejects_out_of_range(self, p):
         with pytest.raises(DomainError):
             std_normal_quantile(p)
+
+
+class TestStdNormalQuantileLog:
+    """The vectorised quantile over log-probabilities, checked by residuals:
+    the accurate (log-)CDF at the result, against the target, over the pdf.
+    Comparing against std_normal_quantile(exp(log_p)) would lose the digits
+    of 1 - p near p = 1."""
+
+    @staticmethod
+    def x_error(x, log_p):
+        """First-order error of x as the quantile of exp(log_p)."""
+        if x > 0.0:
+            return (std_normal_sf(x) + math.expm1(log_p)) / std_normal_pdf(x)
+        log_cdf = log_std_normal_cdf(x)
+        log_pdf = -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
+        return (log_cdf - log_p) / math.exp(log_pdf - log_cdf)
+
+    def test_relative_error_over_log_p_range(self):
+        log_p = -np.logspace(math.log10(700.0), -15.0, 4001)
+        x = std_normal_quantile_log(log_p)
+        worst = max(abs(self.x_error(float(xi), float(lp))) / abs(float(xi))
+                    for xi, lp in zip(x, log_p))
+        assert worst <= 2e-9
+        assert np.all(np.diff(x) > 0.0)
+
+    def test_reference_points(self):
+        log_p = np.log([1e-300, 0.001, 0.025, 0.5, 0.975])
+        expected = [std_normal_quantile(p) for p in (1e-300, 0.001, 0.025, 0.5, 0.975)]
+        assert std_normal_quantile_log(log_p) == pytest.approx(expected, rel=2e-9, abs=1e-15)
+
+    def test_maximum_of_a_million_keeps_its_digits(self):
+        # the median of the maximum of 1e6 draws: 1 - p is about 6.9e-7
+        x = float(std_normal_quantile_log(math.log(0.5) / 10**6))
+        assert abs(self.x_error(x, math.log(0.5) / 10**6)) <= 2e-9 * x
+
+    def test_endpoints(self):
+        x = std_normal_quantile_log(np.array([-np.inf, 0.0, -0.0]))
+        assert x[0] == -np.inf
+        assert x[1] == np.inf and x[2] == np.inf
+
+    def test_extreme_finite_log_p_stays_finite(self):
+        x = std_normal_quantile_log(np.array([-1e300, -1e-300]))
+        assert np.all(np.isfinite(x))
+        assert x[0] < -1e149 and x[1] > 37.0
 
 
 class TestLogCdfPower:

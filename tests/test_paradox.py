@@ -8,6 +8,7 @@ quadrature through an independent sampling route.
 
 import math
 
+import bruteforce
 import mpmath
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from threshcal.calibration import (
     threshold_schedule,
 )
 from threshcal.errors import ConfigurationError, DomainError, InfeasibleConditioningError
-from threshcal.gaussian import SeededStream, std_normal_quantile
+from threshcal.gaussian import SeededStream, std_normal_quantile, std_normal_quantile_log
 from threshcal.paradox import (
+    _BLOCK_TRIALS,
     EULER_GAMMA,
     DesignScenario,
     SimulationReport,
+    _log_uniform,
     estimate_conditional_exceedance,
     euler_gamma_partial,
     expected_max,
@@ -67,12 +70,21 @@ class TestSimulateMinimalEffort:
         band = 4.0 * report.standard_error * (n + 1)
         assert abs(report.estimate * (n + 1) - 1.0) <= band
 
-    def test_deterministic_and_partition_independent(self):
+    def test_deterministic_and_follows_block_plan(self):
         stream = SeededStream(seed=99, stream_index=2)
-        a = simulate_minimal_effort(40, 20_000, stream)
-        b = simulate_minimal_effort(40, 20_000, stream)
-        c = simulate_minimal_effort(40, 20_000, stream, workers=4)
-        assert a == b == c
+        trials = _BLOCK_TRIALS + 1_234
+        a = simulate_minimal_effort(40, trials, stream)
+        b = simulate_minimal_effort(40, trials, stream)
+        assert a == b
+        # block b draws ln U (the maximum) then ln V (the extra draw) from
+        # stream.generator(b); the last block holds the remainder
+        exceed = 0
+        for block, size in enumerate([_BLOCK_TRIALS, 1_234]):
+            gen = stream.generator(block)
+            log_u = -gen.standard_exponential(size)
+            log_v = -gen.standard_exponential(size)
+            exceed += int(np.count_nonzero(40 * log_v > log_u))
+        assert a.estimate == exceed / trials
 
 
 class TestSimulateCompliance:
@@ -150,8 +162,8 @@ class TestParadoxCurve:
         points = paradox_curve(DEMO, DEMO_PRIOR, sigma, uncapped_rule, [40],
                                trials=40_000, stream=SeededStream(seed=14, stream_index=4))
         assert len(points) == 1
-        se = math.sqrt(0.1 * 0.9 / 40_000)
-        assert abs(points[0].rejection_fixed - points[0].rejection_schedule) <= 8 * se
+        # both readings score the same simulated maxima against the same threshold
+        assert points[0].rejection_fixed == points[0].rejection_schedule
 
     def test_demo_curve_shape(self, uncapped_rule):
         sigma = uncapped_rule.threshold / std_normal_quantile(0.9 ** (1 / 40))
@@ -182,12 +194,23 @@ class TestEstimateConditionalExceedance:
         assert abs(report.estimate - quad_val) <= 3.0 * report.standard_error
         assert 0 < report.accepted_runs < report.trials
 
-    def test_deterministic_and_partition_independent(self):
+    def test_deterministic_and_follows_block_plan(self):
         stream = SeededStream(seed=17, stream_index=1)
-        a = estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR, 50_000, stream)
-        b = estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR, 50_000, stream,
-                                            workers=4)
+        trials = 2 * _BLOCK_TRIALS + 777
+        a = estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR, trials, stream)
+        b = estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR, trials, stream)
         assert a == b
+        # block b draws the scale, ln U for the maximum, then the extra draw
+        kept = exceed = 0
+        for block, size in enumerate([_BLOCK_TRIALS, _BLOCK_TRIALS, 777]):
+            gen = stream.generator(block)
+            sigma = np.exp(gen.uniform(math.log(0.01), math.log(10.0), size))
+            peak = std_normal_quantile_log(-gen.standard_exponential(size) / 40)
+            accepted = peak * sigma <= 1.0
+            kept += int(np.count_nonzero(accepted))
+            exceed += int(np.count_nonzero(accepted & (gen.standard_normal(size) * sigma > 1.0)))
+        assert a.accepted_runs == kept
+        assert a.estimate == exceed / kept
 
     def test_impossible_event_raises(self):
         with pytest.raises(InfeasibleConditioningError):
@@ -226,11 +249,21 @@ class TestExpectedMax:
                                             SeededStream(seed=19, stream_index=5))
         assert abs(mean - expected_max_exact(10)) <= 4 * se
 
-    def test_monte_carlo_partition_independent(self):
+    def test_monte_carlo_follows_block_plan(self):
         stream = SeededStream(seed=20, stream_index=5)
-        a = expected_max_monte_carlo(100, 2.0, 30_000, stream)
-        b = expected_max_monte_carlo(100, 2.0, 30_000, stream, workers=4)
+        trials = _BLOCK_TRIALS + 5
+        a = expected_max_monte_carlo(100, 2.0, trials, stream)
+        b = expected_max_monte_carlo(100, 2.0, trials, stream)
         assert a == b
+        # block b draws one ln U per trial and sums the maxima it maps to
+        sums, squares = [], []
+        for block, size in enumerate([_BLOCK_TRIALS, 5]):
+            m = std_normal_quantile_log(-stream.generator(block).standard_exponential(size) / 100)
+            sums.append(math.fsum(m))
+            squares.append(math.fsum(m * m))
+        mean = math.fsum(sums) / trials
+        var = (math.fsum(squares) - trials * mean * mean) / (trials - 1)
+        assert a == (2.0 * mean, 2.0 * math.sqrt(var / trials))
 
     def test_growth_ratio_increasing_toward_one(self):
         ratios = [expected_max_exact(n) / math.sqrt(2 * math.log(n))
@@ -276,3 +309,108 @@ class TestSimulationReport:
             SimulationReport(estimate=0.5, standard_error=0.0, trials=10, accepted_runs=11)
         with pytest.raises(DomainError):
             SimulationReport(estimate=0.5, standard_error=-1.0, trials=10, accepted_runs=5)
+
+
+class _ZeroExponentials:
+    """Generator stand-in whose standard exponentials are all exactly 0."""
+
+    def standard_exponential(self, size):
+        return np.zeros(size)
+
+
+class TestLogUniform:
+    def test_zero_exponential_stays_inside_open_interval(self):
+        # an exponential draw of exactly 0 would mean U = 1 and an infinite maximum
+        log_u = _log_uniform(_ZeroExponentials(), 4)
+        assert np.all(log_u < 0.0)
+        for n in (1, 640, 10**6):
+            assert np.all(np.isfinite(std_normal_quantile_log(log_u / n)))
+
+
+# Counts of the equivalence tests: the same distributions as drawing every
+# sample in full, at both ends of the count range.
+COUNTS = [1, 2, 40, 640]
+LIBRARY_TRIALS = 100_000
+BRUTE_TRIALS = 30_000
+
+
+def agree(estimate, se, oracle):
+    """Within 4 combined standard errors of a brute-force estimate."""
+    return abs(estimate - oracle.value) <= 4.0 * math.hypot(se, oracle.standard_error)
+
+
+def binomial_se(p, trials):
+    return math.sqrt(p * (1.0 - p) / trials)
+
+
+@pytest.fixture(scope="module")
+def wide_rule():
+    """A rule tabulated at every count of COUNTS, required count 1."""
+    return StandardRule(n_required=1, threshold=3.0,
+                        schedule=((1, 3.0), (2, 3.1), (40, 3.3), (640, 3.6)))
+
+
+class TestBruteForceEquivalence:
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_minimal_effort(self, n):
+        report = simulate_minimal_effort(n, LIBRARY_TRIALS,
+                                         SeededStream(seed=31, stream_index=2))
+        oracle = bruteforce.minimal_effort(n, BRUTE_TRIALS, np.random.default_rng(1000 + n))
+        assert agree(report.estimate, report.standard_error, oracle)
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_fixed_sigma_compliance(self, wide_rule, n):
+        sigma = 1.0
+        oracles = bruteforce.fixed_sigma_rejections(
+            n, sigma, [wide_rule.threshold, wide_rule.entry_for(n)[1]], BRUTE_TRIALS,
+            np.random.default_rng(2000 + n))
+        for kind, oracle in zip(("fixed_threshold", "schedule"), oracles):
+            scenario = DesignScenario(mode="fixed_sigma", sigma_true=sigma, rule=wide_rule,
+                                      n_performed=n, trials=LIBRARY_TRIALS,
+                                      stream=SeededStream(seed=32, stream_index=3))
+            report = simulate_compliance(scenario, kind)
+            assert agree(report.estimate, report.standard_error, oracle)
+
+    @pytest.mark.parametrize("n", COUNTS[1:])
+    def test_minimal_effort_compliance(self, wide_rule, n):
+        for kind in ("fixed_threshold", "schedule"):
+            scenario = DesignScenario(mode="minimal_effort", sigma_true=1.0, rule=wide_rule,
+                                      n_performed=n, trials=LIBRARY_TRIALS,
+                                      stream=SeededStream(seed=33, stream_index=3))
+            report = simulate_compliance(scenario, kind)
+            applied = wide_rule.threshold if kind == "fixed_threshold" \
+                else wide_rule.entry_for(n)[1]
+            oracle = bruteforce.minimal_effort_rejections(
+                1, n, applied / wide_rule.threshold, BRUTE_TRIALS,
+                np.random.default_rng(3000 + n))
+            assert agree(report.estimate, report.standard_error, oracle)
+
+    def test_paradox_curve(self, wide_rule):
+        sigma = 1.0
+        points = paradox_curve(DEMO, DEMO_PRIOR, sigma, wide_rule, COUNTS, LIBRARY_TRIALS,
+                               SeededStream(seed=34, stream_index=4))
+        assert [p.n_prime for p in points] == COUNTS
+        for p in points:
+            fixed, sched = bruteforce.fixed_sigma_rejections(
+                p.n_prime, sigma, [wide_rule.threshold, wide_rule.entry_for(p.n_prime)[1]],
+                BRUTE_TRIALS, np.random.default_rng(4000 + p.n_prime))
+            assert agree(p.rejection_fixed,
+                         binomial_se(p.rejection_fixed, LIBRARY_TRIALS), fixed)
+            assert agree(p.rejection_schedule,
+                         binomial_se(p.rejection_schedule, LIBRARY_TRIALS), sched)
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_conditional_exceedance(self, n):
+        report = estimate_conditional_exceedance(DEMO, 1.0, n, DEMO_PRIOR, LIBRARY_TRIALS,
+                                                 SeededStream(seed=35, stream_index=1))
+        oracle = bruteforce.conditional_exceedance(
+            DEMO.q0, 1.0, n, DEMO_PRIOR.sigma_lo, DEMO_PRIOR.sigma_hi, BRUTE_TRIALS,
+            np.random.default_rng(5000 + n))
+        assert agree(report.estimate, report.standard_error, oracle)
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_expected_max(self, n):
+        mean, se = expected_max_monte_carlo(n, 1.5, LIBRARY_TRIALS,
+                                            SeededStream(seed=36, stream_index=5))
+        oracle = bruteforce.expected_max(n, 1.5, BRUTE_TRIALS, np.random.default_rng(6000 + n))
+        assert agree(mean, se, oracle)
