@@ -13,6 +13,7 @@ from .calibration import (
     SigmaPrior,
     StandardRule,
     acceptance_probability,
+    calibrate_schedule,
     calibrate_threshold,
     conditional_exceedance,
     evaluate_compliance,
@@ -78,6 +79,7 @@ __all__ = [
     "SolverError",
     "StandardRule",
     "acceptance_probability",
+    "calibrate_schedule",
     "calibrate_threshold",
     "conditional_exceedance",
     "estimate_conditional_exceedance",

@@ -13,6 +13,12 @@ the posterior toward smaller scales, and
 becomes a posterior-predictive quantity that the test threshold t controls.
 Calibration finds the largest t whose conditional exceedance stays within
 p0, and a standard publishes t as a function of the measurement count.
+
+Numerically, each exceedance is a ratio of two integrals over ln(sigma)
+that share the acceptance weight Phi(t/sigma)**n.  They are computed as
+one tuple-valued adaptive quadrature, so both see the same nodes and each
+node's weight is computed once.  Calibration bisects on that ratio and
+only ever returns a threshold whose computed exceedance is at most p0.
 """
 
 from __future__ import annotations
@@ -30,9 +36,11 @@ from .errors import (
     InfeasibilityError,
     InfeasibleConditioningError,
     InsufficientDataError,
+    IntegrationError,
     SolverError,
 )
 from .gaussian import (
+    _INV_SQRT2,
     _require_count,
     _require_finite,
     integrate,
@@ -202,9 +210,12 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
 
     Under a point prior the conditioning event is independent of the next
     draw and the value collapses to marginal_exceedance.  Otherwise the
-    numerator and denominator are integrated over ln(sigma), with the
-    acceptance weight Phi(threshold/sigma)**n evaluated in log space and
-    shifted by its maximum so the ratio survives draw counts up to 1e6.
+    denominator (the acceptance weight Phi(threshold/sigma)**n) and the
+    numerator (the weight times 1 - Phi(q0/sigma)) are integrated over
+    ln(sigma) in one pass: one partition, each node's weight computed once
+    and shared by both.  The weight is evaluated in log space and shifted by
+    its maximum so the ratio survives draw counts up to 1e6; where it
+    underflows to 0 the numerator's tail probability is not computed.
     """
     threshold = _require_finite("threshold", threshold)
     n = _require_count("n", n)
@@ -213,26 +224,46 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
 
     t_lo = math.log(prior.sigma_lo)
     t_hi = math.log(prior.sigma_hi)
-    width = t_hi - t_lo
+    # Per node e = 1/sigma; the log-weight n ln Phi(threshold e) is monotone
+    # in ln(sigma), so its maximum, the shift, sits at an endpoint.
+    exp, erfc, log1p = math.exp, math.erfc, math.log1p
+    b = spec.q0 * _INV_SQRT2
+    if threshold > 0.0:
+        # the x > 0 branch of log_std_normal_cdf, inlined: ln Phi(x) = log1p(-erfc(x/sqrt 2)/2)
+        a = threshold * _INV_SQRT2
+        shift = n * max(log1p(-0.5 * erfc(a * exp(-t_lo))), log1p(-0.5 * erfc(a * exp(-t_hi))))
 
-    def log_weight(t: float) -> float:
-        return n * log_std_normal_cdf(threshold * math.exp(-t))
+        def weights(t: float) -> tuple[float, float]:
+            e = exp(-t)
+            w = exp(n * log1p(-0.5 * erfc(a * e)) - shift)
+            if w == 0.0:
+                return 0.0, 0.0
+            return w, 0.5 * erfc(b * e) * w
+    else:
+        shift = n * max(log_std_normal_cdf(threshold * exp(-t_lo)),
+                        log_std_normal_cdf(threshold * exp(-t_hi)))
 
-    # The log-weight is monotone in t, so its maximum sits at an endpoint.
-    shift = max(log_weight(t_lo), log_weight(t_hi))
+        def weights(t: float) -> tuple[float, float]:
+            e = exp(-t)
+            w = exp(n * log_std_normal_cdf(threshold * e) - shift)
+            if w == 0.0:
+                return 0.0, 0.0
+            return w, 0.5 * erfc(b * e) * w
 
-    def weight(t: float) -> float:
-        return math.exp(log_weight(t) - shift)
-
-    def numerator(t: float) -> float:
-        return std_normal_sf(spec.q0 * math.exp(-t)) * weight(t)
-
-    denom = integrate(weight, t_lo, t_hi, rel_tol=rel_tol)
-    if denom <= 0.0 or shift + math.log(denom / width) < _LOG_UNDERFLOW_FLOOR:
+    failure = None
+    try:
+        denom, numer = integrate(weights, t_lo, t_hi, rel_tol=rel_tol)
+    except IntegrationError as exc:
+        # an event too rare to condition on is reported as such even where
+        # the integrals do not converge
+        failure = exc
+        denom, numer = exc.estimate
+    if denom <= 0.0 or shift + math.log(denom / (t_hi - t_lo)) < _LOG_UNDERFLOW_FLOOR:
         raise InfeasibleConditioningError(
             f"the event max <= {threshold} with n = {n} has negligible "
             f"probability under the prior [{prior.sigma_lo}, {prior.sigma_hi}]")
-    numer = integrate(numerator, t_lo, t_hi, rel_tol=rel_tol)
+    if failure is not None:
+        raise failure
     return numer / denom
 
 
@@ -253,8 +284,9 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     anchored at q0: the bracket expands upward by doubling while the
     exceedance at the top is still below p0, or contracts downward by
     halving while it is above.  Bisection stops at threshold resolution
-    1e-9 * q0 or when the achieved probability is within tol of p0,
-    whichever binds first.
+    1e-9 * q0, or at the first midpoint whose exceedance lies within tol
+    below p0 (tol is an absolute probability), whichever comes first.  The
+    result is always the feasible end of the bracket, so achieved <= p0.
 
     With cap_at_q0, a solution above q0 is reported as threshold q0 with
     capped = True; the uncapped solution stays available in
@@ -333,8 +365,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             lo, best, best_ce = mid, mid, ce_mid
         else:
             hi = mid
-        if abs(ce_mid - spec.p0) <= tol:
-            best, best_ce = mid, ce_mid
+        if ce_mid <= spec.p0 and spec.p0 - ce_mid <= tol:
             break
 
     if cap_at_q0 and best > spec.q0:
@@ -345,24 +376,36 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
                              bracket=(lo, hi), capped=False, uncapped_threshold=best)
 
 
-def threshold_schedule(spec: SafetySpec, prior: SigmaPrior, n_list: Sequence[int],
-                       cap_at_q0: bool = True, tol: float = 1e-4) -> StandardRule:
-    """Calibrate a threshold for every count in n_list and package the result
-    as a StandardRule whose required count is the first entry."""
+def calibrate_schedule(spec: SafetySpec, prior: SigmaPrior, n_list: Sequence[int],
+                       cap_at_q0: bool = True, tol: float = 1e-4
+                       ) -> tuple[StandardRule, tuple[CalibrationResult, ...]]:
+    """Calibrate a threshold for every count in n_list.
+
+    Returns the StandardRule whose required count is the first entry, and
+    the CalibrationResult of every row in n_list order.  A row that cannot
+    be calibrated raises with its count named in the message.
+    """
     if not n_list:
         raise DomainError("n_list must not be empty")
     counts = [_require_count("n'", n) for n in n_list]
     if any(a >= b for a, b in zip(counts, counts[1:])):
         raise DomainError(f"n_list must be strictly increasing, got {list(n_list)}")
-    entries = []
+    results = []
     for n_prime in counts:
         try:
-            result = calibrate_threshold(spec, n_prime, prior, cap_at_q0=cap_at_q0, tol=tol)
+            results.append(calibrate_threshold(spec, n_prime, prior,
+                                               cap_at_q0=cap_at_q0, tol=tol))
         except (InfeasibilityError, SolverError) as exc:
             raise type(exc)(f"schedule entry n' = {n_prime}: {exc}") from exc
-        entries.append((n_prime, result.threshold))
-    return StandardRule(n_required=counts[0], threshold=entries[0][1],
-                        schedule=tuple(entries))
+    rule = StandardRule(n_required=counts[0], threshold=results[0].threshold,
+                        schedule=tuple((n, r.threshold) for n, r in zip(counts, results)))
+    return rule, tuple(results)
+
+
+def threshold_schedule(spec: SafetySpec, prior: SigmaPrior, n_list: Sequence[int],
+                       cap_at_q0: bool = True, tol: float = 1e-4) -> StandardRule:
+    """The StandardRule of calibrate_schedule, without the per-row diagnostics."""
+    return calibrate_schedule(spec, prior, n_list, cap_at_q0=cap_at_q0, tol=tol)[0]
 
 
 def evaluate_compliance(rule: StandardRule, measurements: Iterable[float]) -> ComplianceDecision:

@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 from .calibration import (
     SafetySpec,
     SigmaPrior,
-    StandardRule,
+    calibrate_schedule,
     calibrate_threshold,
     threshold_schedule,
 )
@@ -230,20 +230,12 @@ def cmd_calibrate(job: JobSpec) -> tuple[int, str]:
 
 def cmd_schedule(job: JobSpec) -> tuple[int, str]:
     """Threshold schedule over the job's n_list, one row per count."""
+    _, results = calibrate_schedule(job.spec, job.prior, job.n_list,
+                                    cap_at_q0=job.cap_at_q0, tol=job.tol)
     rows = [["n_prime", "threshold", "achieved", "capped"]]
-    entries = []
-    for n_prime in job.n_list:
-        try:
-            result = calibrate_threshold(job.spec, n_prime, job.prior,
-                                         cap_at_q0=job.cap_at_q0, tol=job.tol)
-        except (InfeasibilityError, SolverError) as exc:
-            raise type(exc)(f"schedule entry n' = {n_prime}: {exc}") from exc
-        entries.append((n_prime, result.threshold))
+    for n_prime, result in zip(job.n_list, results):
         rows.append([str(n_prime), _fmt(result.threshold),
                      _fmt(result.achieved), _flag(result.capped)])
-    # surfaces any monotonicity violation as a hard error before emitting
-    StandardRule(n_required=job.n_list[0], threshold=entries[0][1],
-                 schedule=tuple(entries))
     return EXIT_OK, _csv(rows)
 
 

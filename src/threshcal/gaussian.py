@@ -10,12 +10,17 @@ constraints shape the implementation:
 * Simulation results must be bit-reproducible for a fixed seed, so all
   randomness flows through a counter-based generator keyed by
   (seed, stream_index, *path).
+* Integrals that share a costly factor (the calibration's numerator and
+  denominator share the CDF power) are cheapest on shared nodes, so the
+  quadrature also takes tuple-valued integrands.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +37,7 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _TAIL_SWITCH = -20.0
 
 _U64_MAX = 2**64 - 1
+_FLOAT_MAX = sys.float_info.max
 
 
 def _require_finite(name: str, x: float) -> float:
@@ -216,25 +222,58 @@ _WG = (0.129484966168869693270611432679082,
 _WG_CENTER = 0.417959183673469387755102040816327
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod (7, 15) panel: (integral, error estimate)."""
+_XK0, _XK1, _XK2, _XK3, _XK4, _XK5, _XK6 = _XGK
+
+
+def _gk15_nodes(f: Callable, a: float, b: float) -> tuple[float, list]:
+    """Half-width of the panel [a, b] and f at its 15 Kronrod nodes: the
+    center first, then the symmetric pairs from the outside in."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fc = f(c)
-    result_k = _WGK_CENTER * fc
-    result_g = _WG_CENTER * fc
-    for i in range(7):
-        dx = h * _XGK[i]
-        pair = f(c - dx) + f(c + dx)
-        result_k += _WGK[i] * pair
-        if i % 2 == 1:
-            result_g += _WG[i // 2] * pair
-    return h * result_k, abs(h * (result_k - result_g))
+    d0, d1, d2, d3 = h * _XK0, h * _XK1, h * _XK2, h * _XK3
+    d4, d5, d6 = h * _XK4, h * _XK5, h * _XK6
+    return h, [f(c), f(c - d0), f(c + d0), f(c - d1), f(c + d1), f(c - d2), f(c + d2),
+               f(c - d3), f(c + d3), f(c - d4), f(c + d4), f(c - d5), f(c + d5),
+               f(c - d6), f(c + d6)]
 
 
-def integrate(f: Callable[[float], float], lo: float, hi: float,
+def _gk15_rule(v, h: float, weights=(_WGK_CENTER, *_WGK, _WG_CENTER, *_WG)
+               ) -> tuple[float, float]:
+    """(integral, error estimate) of one panel from its 15 node values, in
+    the order _gk15_nodes returns them.  The sums run left to right: their
+    order is part of the result."""
+    fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = v
+    kc, k0, k1, k2, k3, k4, k5, k6, gc, g1, g3, g5 = weights
+    p1, p3, p5 = l1 + r1, l3 + r3, l5 + r5
+    rk = (kc * fc + k0 * (l0 + r0) + k1 * p1 + k2 * (l2 + r2) + k3 * p3
+          + k4 * (l4 + r4) + k5 * p5 + k6 * (l6 + r6))
+    rg = gc * fc + g1 * p1 + g3 * p3 + g5 * p5
+    return h * rk, abs(h * (rk - rg))
+
+
+def _scalar_panel(values: list, h: float) -> tuple[tuple, tuple]:
+    seg_i, seg_e = _gk15_rule(values, h)
+    return (seg_i,), (seg_e,)
+
+
+def _pair_panel(values: list, h: float) -> tuple[tuple, tuple]:
+    """_gk15_rule on both components of pair values; unpacking is cheaper
+    than transposing with zip."""
+    ((fc, uc), (l0, m0), (r0, s0), (l1, m1), (r1, s1), (l2, m2), (r2, s2), (l3, m3),
+     (r3, s3), (l4, m4), (r4, s4), (l5, m5), (r5, s5), (l6, m6), (r6, s6)) = values
+    wi, we = _gk15_rule((fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6), h)
+    ui, ue = _gk15_rule((uc, m0, s0, m1, s1, m2, s2, m3, s3, m4, s4, m5, s5, m6, s6), h)
+    return (wi, ui), (we, ue)
+
+
+def _vector_panel(values: list, h: float) -> tuple[tuple, tuple]:
+    seg_i, seg_e = zip(*[_gk15_rule(column, h) for column in zip(*values, strict=True)])
+    return seg_i, seg_e
+
+
+def integrate(f: Callable, lo: float, hi: float,
               rel_tol: float = 1e-10, abs_tol: float = 0.0,
-              max_evals: int = 1_000_000, initial_panels: int = 8) -> float:
+              max_evals: int = 1_000_000, initial_panels: int = 8):
     """Globally adaptive Gauss-Kronrod quadrature with interval bisection.
 
     The range starts as a fixed grid of initial_panels panels (so features
@@ -244,66 +283,105 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
     is given).  The refinement order is fixed, so identical inputs always
     produce the identical result.
 
+    f may return a float or a tuple of floats; its value at the first node
+    (the center of the first panel) sets the shape, and the result has the
+    same shape.  The components of a tuple-valued f share one partition
+    and one evaluation budget, so every node is evaluated once for all of
+    them.  Refinement runs until every component meets its own tolerance,
+    and the panel split next is the one with the largest error measured in
+    units of each component's tolerance on the initial grid.  For a scalar
+    f that is the raw error, so scalar results keep the refinement order
+    and the value they always had.
+
     Raises IntegrationError, carrying the best estimate and its error
-    bound, if the evaluation budget runs out first.  The budget gates
-    subdivision; the initial grid is always evaluated.
+    bound (tuples for a tuple-valued f), if the evaluation budget runs out
+    first.  The budget gates subdivision; the initial grid is always
+    evaluated.
     """
     lo = _require_finite("lo", lo)
     hi = _require_finite("hi", hi)
     if lo > hi:
         raise DomainError(f"lo must be <= hi, got [{lo}, {hi}]")
     if lo == hi:
-        return 0.0
+        first = f(lo)
+        return tuple(0.0 for _ in first) if isinstance(first, tuple) else 0.0
     if not rel_tol > 0.0:
         raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
     initial_panels = _require_count("initial_panels", initial_panels)
 
-    evals = 0
-    counter = 0
-    heap = []
-    total = 0.0
-    total_err = 0.0
     edges = [lo + (hi - lo) * k / initial_panels for k in range(initial_panels)] + [hi]
-    for a, b in zip(edges, edges[1:]):
-        if a == b:
-            continue
-        seg_i, seg_e = _gk15(f, a, b)
-        if not math.isfinite(seg_i):
+    spans = [(a, b) for a, b in zip(edges, edges[1:]) if a != b]
+    h, values = _gk15_nodes(f, *spans[0])
+    vector = isinstance(values[0], tuple)
+    width = len(values[0]) if vector else 1
+    rule = _pair_panel if width == 2 else _vector_panel if vector else _scalar_panel
+
+    def shaped(components: list):
+        return tuple(components) if vector else components[0]
+
+    evals = 0
+    total = [0.0] * width
+    total_err = [0.0] * width
+    panels = []
+    for a, b in spans:
+        if panels:
+            h, values = _gk15_nodes(f, a, b)
+        seg_i, seg_e = rule(values, h)
+        if not all(map(math.isfinite, seg_i)):
             raise DomainError(f"integrand returned a non-finite value on [{a}, {b}]")
         evals += 15
-        heapq.heappush(heap, (-seg_e, counter, a, b, seg_i, seg_e))
-        counter += 1
-        total += seg_i
-        total_err += seg_e
+        panels.append((a, b, seg_i, seg_e))
+        for j in range(width):
+            total[j] += seg_i[j]
+            total_err[j] += seg_e[j]
 
-    while total_err > max(rel_tol * abs(total), abs_tol):
+    # Error weights that measure every component in units of the first
+    # one's tolerance (without forming the tolerances, which underflow for
+    # a subnormal component); the first weight is exactly 1.  A component
+    # far smaller than the first, or zero, gets the largest finite weight,
+    # so its errors are never starved by the first one's.
+    scales = [max(abs(t), abs_tol / rel_tol) for t in total]
+    weights = [1.0 if scales[0] == 0.0 else min(scales[0] / s, _FLOAT_MAX) if s > 0.0
+               else _FLOAT_MAX for s in scales]
+
+    def priority(seg_e: tuple) -> float:
+        return -max(map(operator.mul, seg_e, weights))
+
+    heap = [(priority(seg_e), counter, a, b, seg_i, seg_e)
+            for counter, (a, b, seg_i, seg_e) in enumerate(panels)]
+    heapq.heapify(heap)
+    counter = len(heap)
+
+    def fail(message: str, pending: tuple | None = None) -> IntegrationError:
+        best = [math.fsum(seg[4][j] for seg in heap) for j in range(width)]
+        if pending is not None:
+            best = [s + p for s, p in zip(best, pending)]
+        best, err = shaped(best), shaped(total_err)
+        return IntegrationError(f"{message}; best estimate {best!r} with error bound {err!r}",
+                                estimate=best, error_bound=err)
+
+    while any(e > max(rel_tol * abs(t), abs_tol) for t, e in zip(total, total_err)):
         if evals + 30 > max_evals:
-            best = math.fsum(seg[4] for seg in heap)
-            raise IntegrationError(
-                f"quadrature budget of {max_evals} evaluations exhausted; "
-                f"best estimate {best!r} with error bound {total_err!r}",
-                estimate=best, error_bound=total_err)
+            raise fail(f"quadrature budget of {max_evals} evaluations exhausted")
         _, _, a, b, old_i, old_e = heapq.heappop(heap)
         m = 0.5 * (a + b)
         if not (a < m < b):
-            best = math.fsum(seg[4] for seg in heap) + old_i
-            raise IntegrationError(
-                f"interval [{a}, {b}] cannot be split further; "
-                f"best estimate {best!r} with error bound {total_err!r}",
-                estimate=best, error_bound=total_err)
-        left_i, left_e = _gk15(f, a, m)
-        right_i, right_e = _gk15(f, m, b)
+            raise fail(f"interval [{a}, {b}] cannot be split further", old_i)
+        h, values = _gk15_nodes(f, a, m)
+        left_i, left_e = rule(values, h)
+        h, values = _gk15_nodes(f, m, b)
+        right_i, right_e = rule(values, h)
         evals += 30
-        if not (math.isfinite(left_i) and math.isfinite(right_i)):
+        if not all(map(math.isfinite, left_i + right_i)):
             raise DomainError(f"integrand returned a non-finite value on [{a}, {b}]")
-        total += left_i + right_i - old_i
-        total_err += left_e + right_e - old_e
-        counter += 1
-        heapq.heappush(heap, (-left_e, counter, a, m, left_i, left_e))
-        counter += 1
-        heapq.heappush(heap, (-right_e, counter, m, b, right_i, right_e))
+        for j in range(width):
+            total[j] += left_i[j] + right_i[j] - old_i[j]
+            total_err[j] += left_e[j] + right_e[j] - old_e[j]
+        heapq.heappush(heap, (priority(left_e), counter, a, m, left_i, left_e))
+        heapq.heappush(heap, (priority(right_e), counter + 1, m, b, right_i, right_e))
+        counter += 2
 
-    return math.fsum(seg[4] for seg in heap)
+    return shaped([math.fsum(seg[4][j] for seg in heap) for j in range(width)])
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import two_integral_ce
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from threshcal.calibration import (
     SigmaPrior,
     StandardRule,
     acceptance_probability,
+    calibrate_schedule,
     calibrate_threshold,
     conditional_exceedance,
     evaluate_compliance,
@@ -176,6 +178,48 @@ class TestConditionalExceedance:
     def test_infeasible_conditioning(self):
         with pytest.raises(InfeasibleConditioningError):
             conditional_exceedance(DEMO, 0.001, 100_000, DEMO_PRIOR)
+        with pytest.raises(InfeasibleConditioningError):
+            two_integral_ce.conditional_exceedance(DEMO, 0.001, 100_000, DEMO_PRIOR)
+
+    @staticmethod
+    def _both(threshold, n, prior):
+        """(one-pass, two-integral reference), None where conditioning is infeasible."""
+        values = []
+        for ce in (conditional_exceedance, two_integral_ce.conditional_exceedance):
+            try:
+                values.append(ce(DEMO, threshold, n, prior))
+            except InfeasibleConditioningError:
+                values.append(None)
+        return values
+
+    @pytest.mark.parametrize("sigma_lo, sigma_hi", [(0.01, 10.0), (0.01, 1.0), (0.5, 0.6)])
+    def test_one_pass_matches_two_integral_reference(self, sigma_lo, sigma_hi):
+        prior = SigmaPrior.log_uniform(sigma_lo, sigma_hi)
+        compared = 0
+        for n in (1, 2, 40, 640, 40960, 1310720):
+            for threshold in np.linspace(0.05, 4.0, 16):
+                got, expected = self._both(float(threshold), n, prior)
+                assert (got is None) == (expected is None), (threshold, n)
+                if expected is not None:
+                    assert got == pytest.approx(expected, rel=1e-11, abs=0.0), (threshold, n)
+                    compared += 1
+        assert compared >= 60
+
+    @pytest.mark.parametrize("threshold, n", [(0.0137, 1350), (0.015, 1350), (0.0127, 1400)])
+    def test_subnormal_numerator_matches_reference(self, threshold, n):
+        # the numerator is below 1e-307 here, so its tolerance underflows to
+        # 0: the shared refinement must still reach it rather than split
+        # denominator panels until the budget runs out
+        got, expected = self._both(threshold, n, DEMO_PRIOR)
+        assert 0.0 < expected < 1e-307
+        assert got == expected
+
+    def test_threshold_at_or_below_zero_matches_reference(self):
+        for threshold in (0.0, -0.5, -3.0, -25.0):
+            for n in (1, 40):
+                got, expected = self._both(threshold, n, DEMO_PRIOR)
+                assert expected is not None
+                assert got == pytest.approx(expected, rel=1e-11, abs=0.0), (threshold, n)
 
 
 class TestCalibrateThreshold:
@@ -233,6 +277,27 @@ class TestCalibrateThreshold:
         with pytest.raises(DomainError):
             calibrate_threshold(DEMO, 40, DEMO_PRIOR, tol=0.0)
 
+    @pytest.mark.parametrize("cap", [True, False])
+    @pytest.mark.parametrize("p0", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_solution_keeps_its_promise(self, p0, cap):
+        # the default tol of 1e-4 is coarse against small p0: the early exit
+        # must still only ever stop on a feasible midpoint
+        spec = SafetySpec(q0=1.0, p0=p0)
+        for n in (40, 80, 640, 40960, 1310720):
+            result = calibrate_threshold(spec, n, DEMO_PRIOR, cap_at_q0=cap)
+            assert result.achieved <= p0, n
+            assert conditional_exceedance(spec, result.threshold, n, DEMO_PRIOR) <= p0, n
+            if math.isfinite(result.uncapped_threshold):
+                assert conditional_exceedance(
+                    spec, result.uncapped_threshold, n, DEMO_PRIOR) <= p0, n
+
+    def test_tol_exit_stops_on_the_feasible_side(self):
+        spec = SafetySpec(q0=1.0, p0=1e-5)
+        result = calibrate_threshold(spec, 80, DEMO_PRIOR, cap_at_q0=False)
+        assert result.threshold == 0.5625
+        assert 0.0 < result.achieved <= spec.p0
+        assert result.bracket[0] == result.threshold
+
 
 class TestThresholdSchedule:
     def test_singleton_matches_calibrate(self):
@@ -273,6 +338,20 @@ class TestThresholdSchedule:
             threshold_schedule(DEMO, DEMO_PRIOR, [40, 40])
         with pytest.raises(DomainError):
             threshold_schedule(DEMO, DEMO_PRIOR, [])
+
+    @pytest.mark.parametrize("cap", [True, False])
+    def test_calibrate_schedule_returns_every_row(self, cap):
+        counts = [40, 80, 160]
+        rule, results = calibrate_schedule(DEMO, DEMO_PRIOR, counts, cap_at_q0=cap)
+        assert rule == threshold_schedule(DEMO, DEMO_PRIOR, counts, cap_at_q0=cap)
+        assert results == tuple(calibrate_threshold(DEMO, n, DEMO_PRIOR, cap_at_q0=cap)
+                                for n in counts)
+        assert rule.schedule == tuple((n, r.threshold) for n, r in zip(counts, results))
+
+    def test_calibrate_schedule_names_failing_entry(self):
+        with pytest.raises(InfeasibilityError) as exc:
+            calibrate_schedule(DEMO, SigmaPrior.log_uniform(5.0, 50.0), [2, 4])
+        assert "n' = 2" in str(exc.value)
 
 
 class TestAcceptanceProbability:

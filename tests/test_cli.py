@@ -6,6 +6,7 @@ import math
 import pytest
 
 from threshcal import cli
+from threshcal.calibration import calibrate_schedule
 from threshcal.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT_ERROR,
@@ -161,6 +162,31 @@ class TestScheduleCommand:
         assert code == EXIT_OK
         assert piped == ""
         assert out_file.read_text() == stdout_text
+
+    def test_rows_are_the_schedule_calibrations(self, capsys, tmp_path):
+        path = write_job(tmp_path, n=40, n_list=[40, 80, 160], cap_at_q0=False)
+        _, out, _ = run_cli(capsys, "schedule", "--job", path)
+        job = JobSpec.from_file(path)
+        _, results = calibrate_schedule(job.spec, job.prior, job.n_list, cap_at_q0=False)
+        expected = [f"{n},{r.threshold:.12g},{r.achieved:.12g},false"
+                    for n, r in zip(job.n_list, results)]
+        assert out.splitlines()[1:] == expected
+
+    def test_small_p0_rows_stay_within_p0(self, capsys, tmp_path):
+        path = write_job(tmp_path, p0=1e-5, cap_at_q0=False)
+        code, out, _ = run_cli(capsys, "schedule", "--job", path)
+        assert code == EXIT_OK
+        achieved = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+        assert len(achieved) == 5
+        assert all(a <= 1e-5 for a in achieved)
+
+    def test_failing_entry_is_infeasible_and_named(self, capsys, tmp_path):
+        path = write_job(tmp_path, n=2, n_list=[2, 4],
+                         prior={"type": "log_uniform", "sigma_lo": 5.0, "sigma_hi": 50.0})
+        code, out, err = run_cli(capsys, "schedule", "--job", path)
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert "n' = 2" in err
 
 
 class TestVerifyCommand:

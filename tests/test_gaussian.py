@@ -239,6 +239,112 @@ class TestIntegrate:
                         rel_tol=1e-10)
         assert val == pytest.approx(0.01 * math.sqrt(2 * math.pi), rel=1e-9)
 
+    def test_scalar_results_are_pinned(self):
+        # frozen from the scalar engine before tuple-valued integrands were
+        # added; the scalar refinement order and sums must not move
+        from threshcal.paradox import expected_max_exact
+
+        pinned = [
+            (expected_max_exact(2), "0x1.20dd750429b6dp-1"),
+            (expected_max_exact(1000), "0x1.9ee75e0641a10p+1"),
+            (expected_max_exact(10**6), "0x1.3739b660c0ebdp+2"),
+            (integrate(std_normal_pdf, -10.0, 10.0, rel_tol=1e-12), "0x1.0000000000000p+0"),
+            (integrate(lambda x: math.exp(-x) * math.sin(7 * x), 0.0, 20.0, rel_tol=1e-11),
+             "0x1.1eb851ec17c6bp-3"),
+            (integrate(lambda x: math.exp(-0.5 * ((x - 0.37) / 0.01) ** 2), 0.0, 1.0),
+             "0x1.9aaf9c282c14fp-6"),
+        ]
+        assert [value.hex() for value, _ in pinned] == [h for _, h in pinned]
+        with pytest.raises(IntegrationError) as exc:
+            integrate(lambda x: x ** -0.5, 0.0, 1.0, rel_tol=1e-13, max_evals=400)
+        assert exc.value.estimate.hex() == "0x1.ffd139adc440fp+0"
+        assert exc.value.error_bound.hex() == "0x1.20902033c0890p-10"
+
+    def test_quadratic_needs_only_the_initial_grid(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x
+
+        assert integrate(f, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert len(calls) == 8 * 15
+        assert 0.0 not in calls and 1.0 not in calls
+
+
+def _bump(x):
+    return math.exp(-0.5 * ((x - 0.37) / 0.01) ** 2)
+
+
+class TestIntegrateVector:
+    def test_result_is_a_tuple(self):
+        val = integrate(lambda x: (1.0, x, x * x), 0.0, 1.0, rel_tol=1e-12)
+        assert isinstance(val, tuple) and len(val) == 3
+        assert val == pytest.approx((1.0, 0.5, 1.0 / 3.0), rel=1e-13)
+
+    def test_empty_interval_keeps_the_shape(self):
+        assert integrate(lambda x: (5.0, 6.0), 2.0, 2.0) == (0.0, 0.0)
+
+    def test_one_evaluation_per_node_for_all_components(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x, x
+
+        integrate(f, 0.0, 1.0)
+        assert len(calls) == 8 * 15
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_equal_components_refine_like_a_scalar(self, width):
+        # equal components carry equal weights, so the partition and every
+        # sum match the scalar run bit for bit
+        f = lambda x: math.exp(-x) * math.sin(7 * x)
+        scalar = integrate(f, 0.0, 20.0, rel_tol=1e-11)
+        assert integrate(lambda x: (f(x),) * width, 0.0, 20.0, rel_tol=1e-11) == \
+            (scalar,) * width
+
+    @pytest.mark.parametrize("small_first", [False, True])
+    def test_each_component_meets_its_own_tolerance(self, small_first):
+        # a smooth component and a sharp one 1e-12 times smaller: the small
+        # one must still converge relative to itself
+        exact = (math.sin(3.0) / 3.0, 1e-12 * 0.01 * math.sqrt(2 * math.pi))
+
+        def f(x):
+            pair = (math.cos(3.0 * x), 1e-12 * _bump(x))
+            return pair[::-1] if small_first else pair
+
+        val = integrate(f, 0.0, 1.0, rel_tol=1e-10)
+        if small_first:
+            val = val[::-1]
+        assert val[0] == pytest.approx(exact[0], rel=1e-10)
+        assert val[1] == pytest.approx(exact[1], rel=1e-9)
+
+    def test_zero_component_converges(self):
+        val = integrate(lambda x: (math.cos(x), 0.0), 0.0, 1.0)
+        assert val == (pytest.approx(math.sin(1.0), rel=1e-12), 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_component_raises(self, bad):
+        with pytest.raises(DomainError):
+            integrate(lambda x: (1.0, bad), 0.0, 1.0)
+        # a component that turns non-finite only where refinement looks
+        with pytest.raises(DomainError):
+            integrate(lambda x: (_bump(x), bad if abs(x - 0.37) < 1e-3 else 0.0), 0.0, 1.0)
+
+    def test_budget_exhaustion_carries_every_component(self):
+        # the first node is a panel center, never lo, so x = 0 is not probed
+        with pytest.raises(IntegrationError) as exc:
+            integrate(lambda x: (x ** -0.5, 1.0), 0.0, 1.0, rel_tol=1e-13, max_evals=400)
+        estimate, bound = exc.value.estimate, exc.value.error_bound
+        assert isinstance(estimate, tuple) and isinstance(bound, tuple)
+        assert estimate == (pytest.approx(2.0, rel=1e-2), pytest.approx(1.0, rel=1e-15))
+        assert bound[0] > 0.0 and 0.0 <= bound[1] < 1e-15
+
+    def test_ragged_values_are_rejected(self):
+        with pytest.raises((TypeError, ValueError)):
+            integrate(lambda x: (1.0, 2.0) if x < 0.5 else (1.0,), 0.0, 1.0)
+
 
 class TestSeededStream:
     def test_identical_streams_identical_draws(self):
