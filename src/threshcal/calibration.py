@@ -42,7 +42,9 @@ from .errors import (
 from .gaussian import (
     _INV_SQRT2,
     _require_count,
+    _require_counts,
     _require_finite,
+    _require_positive,
     integrate,
     log_cdf_power,
     log_std_normal_cdf,
@@ -70,9 +72,8 @@ class SafetySpec:
     p0: float
 
     def __post_init__(self):
-        _require_finite("q0", self.q0)
-        if self.q0 <= 0.0:
-            raise DomainError(f"q0 must be positive, got {self.q0}")
+        object.__setattr__(self, "q0", _require_positive("q0", self.q0))
+        object.__setattr__(self, "p0", _require_finite("p0", self.p0))
         if not 0.0 < self.p0 < 0.5:
             raise DomainError(f"p0 must lie in (0, 0.5), got {self.p0!r}")
 
@@ -94,8 +95,8 @@ class SigmaPrior:
     def __post_init__(self):
         if self.kind not in ("log_uniform", "point"):
             raise DomainError(f"unknown prior kind {self.kind!r}")
-        _require_finite("sigma_lo", self.sigma_lo)
-        _require_finite("sigma_hi", self.sigma_hi)
+        object.__setattr__(self, "sigma_lo", _require_finite("sigma_lo", self.sigma_lo))
+        object.__setattr__(self, "sigma_hi", _require_finite("sigma_hi", self.sigma_hi))
         if not 0.0 < self.sigma_lo <= self.sigma_hi:
             raise DomainError(
                 f"need 0 < sigma_lo <= sigma_hi, got [{self.sigma_lo}, {self.sigma_hi}]")
@@ -104,11 +105,11 @@ class SigmaPrior:
 
     @classmethod
     def log_uniform(cls, sigma_lo: float, sigma_hi: float) -> "SigmaPrior":
-        return cls("log_uniform", float(sigma_lo), float(sigma_hi))
+        return cls("log_uniform", sigma_lo, sigma_hi)
 
     @classmethod
     def point(cls, sigma: float) -> "SigmaPrior":
-        return cls("point", float(sigma), float(sigma))
+        return cls("point", sigma, sigma)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw scales from the prior."""
@@ -198,24 +199,22 @@ def next_exceeds_max_probability(n: int) -> float:
 
 def marginal_exceedance(spec: SafetySpec, sigma: float) -> float:
     """P(next draw > q0) under a known scale: 1 - Phi(q0/sigma)."""
-    sigma = _require_finite("sigma", sigma)
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    return std_normal_sf(spec.q0 / sigma)
+    return std_normal_sf(spec.q0 / _require_positive("sigma", sigma))
 
 
 def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
-                           prior: SigmaPrior, rel_tol: float = 1e-10) -> float:
+                           prior: SigmaPrior) -> float:
     """P(next draw > q0 | max of n draws <= threshold), prior-averaged.
 
     Under a point prior the conditioning event is independent of the next
     draw and the value collapses to marginal_exceedance.  Otherwise the
     denominator (the acceptance weight Phi(threshold/sigma)**n) and the
     numerator (the weight times 1 - Phi(q0/sigma)) are integrated over
-    ln(sigma) in one pass: one partition, each node's weight computed once
-    and shared by both.  The weight is evaluated in log space and shifted by
-    its maximum so the ratio survives draw counts up to 1e6; where it
-    underflows to 0 the numerator's tail probability is not computed.
+    ln(sigma) in one pass, each to relative tolerance 1e-10: one partition,
+    each node's weight computed once and shared by both.  The weight is
+    evaluated in log space and shifted by its maximum so the ratio survives
+    draw counts up to 1e6; where it underflows to 0 the numerator's tail
+    probability is not computed.
     """
     threshold = _require_finite("threshold", threshold)
     n = _require_count("n", n)
@@ -252,7 +251,7 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
 
     failure = None
     try:
-        denom, numer = integrate(weights, t_lo, t_hi, rel_tol=rel_tol)
+        denom, numer = integrate(weights, t_lo, t_hi, rel_tol=1e-10)
     except IntegrationError as exc:
         # an event too rare to condition on is reported as such even where
         # the integrals do not converge
@@ -269,9 +268,7 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
 
 def acceptance_probability(sigma_true: float, threshold: float, n: int) -> float:
     """P(max of n draws at scale sigma_true <= threshold) = Phi(t/sigma)**n."""
-    sigma_true = _require_finite("sigma_true", sigma_true)
-    if sigma_true <= 0.0:
-        raise DomainError(f"sigma_true must be positive, got {sigma_true}")
+    sigma_true = _require_positive("sigma_true", sigma_true)
     threshold = _require_finite("threshold", threshold)
     return math.exp(log_cdf_power(threshold / sigma_true, n))
 
@@ -294,9 +291,15 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     as under a compatible point prior).
     """
     n = _require_count("n", n)
+    tol = _require_finite("tol", tol)
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tol must lie in (0, 1), got {tol!r}")
     resolution = 1e-9 * spec.q0
+
+    def capped(achieved: float, iterations: int = 0, uncapped: float = math.inf):
+        return CalibrationResult(threshold=spec.q0, achieved=achieved, iterations=iterations,
+                                 bracket=(spec.q0, spec.q0), capped=True,
+                                 uncapped_threshold=uncapped)
 
     marg_lo = marginal_exceedance(spec, prior.sigma_lo)
     if marg_lo > spec.p0:
@@ -308,9 +311,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     if prior.kind == "point":
         # Conditioning is vacuous: the constraint holds at every threshold.
         if cap_at_q0:
-            return CalibrationResult(threshold=spec.q0, achieved=marg_lo, iterations=0,
-                                     bracket=(spec.q0, spec.q0), capped=True,
-                                     uncapped_threshold=math.inf)
+            return capped(marg_lo)
         raise SolverError(
             "the exceedance constraint holds at every threshold under this point "
             "prior; there is no finite uncapped solution (enable cap_at_q0)")
@@ -329,9 +330,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             trial *= 2.0
         if hi is None:
             if cap_at_q0:
-                return CalibrationResult(threshold=spec.q0, achieved=ce_q0, iterations=0,
-                                         bracket=(spec.q0, spec.q0), capped=True,
-                                         uncapped_threshold=math.inf)
+                return capped(ce_q0)
             raise SolverError(
                 f"bracket expansion failed: conditional exceedance stayed below "
                 f"p0 = {spec.p0} up to threshold {lo}")
@@ -369,9 +368,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             break
 
     if cap_at_q0 and best > spec.q0:
-        return CalibrationResult(threshold=spec.q0, achieved=ce_q0, iterations=iterations,
-                                 bracket=(spec.q0, spec.q0), capped=True,
-                                 uncapped_threshold=best)
+        return capped(ce_q0, iterations, best)
     return CalibrationResult(threshold=best, achieved=best_ce, iterations=iterations,
                              bracket=(lo, hi), capped=False, uncapped_threshold=best)
 
@@ -385,11 +382,7 @@ def calibrate_schedule(spec: SafetySpec, prior: SigmaPrior, n_list: Sequence[int
     the CalibrationResult of every row in n_list order.  A row that cannot
     be calibrated raises with its count named in the message.
     """
-    if not n_list:
-        raise DomainError("n_list must not be empty")
-    counts = [_require_count("n'", n) for n in n_list]
-    if any(a >= b for a, b in zip(counts, counts[1:])):
-        raise DomainError(f"n_list must be strictly increasing, got {list(n_list)}")
+    counts = _require_counts("n_list", n_list)
     results = []
     for n_prime in counts:
         try:

@@ -36,8 +36,9 @@ Tables go to standard output as CSV with a header row and 12-significant-
 digit numbers; diagnostics go to standard error.  Exit codes:
 
     0  success
-    1  input error, including an unreadable job or schedule file and an
-       --out path that cannot be written
+    1  input error, including a job or schedule file that cannot be read
+       or decoded (UTF-8, and JSON for a job) and an --out path that
+       cannot be written
     2  infeasibility (no threshold can meet the target), or a quadrature
        that exhausts its budget before converging
     3  verification failure
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -67,9 +67,16 @@ from .errors import (
     IntegrationError,
     SolverError,
 )
-from .gaussian import SeededStream, std_normal_quantile
+from .gaussian import (
+    SeededStream,
+    _require_count,
+    _require_counts,
+    _require_finite,
+    std_normal_quantile,
+)
 from .paradox import (
     estimate_conditional_exceedance,
+    expected_max,
     expected_max_asymptotic,
     expected_max_exact,
     expected_max_monte_carlo,
@@ -100,7 +107,7 @@ class JobError(ValueError):
 
 @dataclass(frozen=True)
 class JobSpec:
-    """A fully resolved batch job."""
+    """A fully resolved batch job; a field failing a library check raises JobError."""
 
     spec: SafetySpec
     prior: SigmaPrior
@@ -112,20 +119,20 @@ class JobSpec:
     seed: int
 
     def __post_init__(self):
-        if not self.n_list:
-            raise JobError("n_list must not be empty")
+        try:
+            _require_count("n", self.n_required)
+            object.__setattr__(self, "n_list", _require_counts("n_list", self.n_list))
+            object.__setattr__(self, "tol", _require_finite("tol", self.tol))
+            _require_count("trials", self.trials)
+            SeededStream(seed=self.seed)
+        except DomainError as exc:
+            raise JobError(str(exc)) from exc
         if self.n_list[0] != self.n_required:
             raise JobError(
                 f"the first n_list entry must equal n ({self.n_required}), "
                 f"got {self.n_list[0]}")
-        if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
-            raise JobError(f"n_list must be strictly increasing, got {list(self.n_list)}")
         if not 0.0 < self.tol < 1.0:
             raise JobError(f"tol must lie in (0, 1), got {self.tol!r}")
-        if self.trials < 1:
-            raise JobError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise JobError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -149,59 +156,48 @@ class JobSpec:
         unknown = sorted(set(data) - set(_JOB_FIELDS))
         if unknown:
             raise JobError(f"unknown job fields: {', '.join(unknown)}")
-        q0 = _as_number(data.get("q0", 1.0), "q0")
-        p0 = _as_number(data.get("p0", 0.01), "p0")
-        n = _as_int(data.get("n", 40), "n")
         n_list = data.get("n_list")
-        if n_list is None:
-            n_list = [n * 2**k for k in range(5)]
-        if not isinstance(n_list, list):
+        if not isinstance(n_list, (list, type(None))):
             raise JobError("n_list must be a list of integers")
-        n_list = tuple(_as_int(v, "n_list entry") for v in n_list)
         prior_data = data.get("prior", {})
         if not isinstance(prior_data, dict):
             raise JobError("prior must be an object")
         unknown = sorted(set(prior_data) - set(_PRIOR_FIELDS))
         if unknown:
             raise JobError(f"unknown prior fields: {', '.join(unknown)}")
-        kind = prior_data.get("type", "log_uniform")
-        sigma_lo = _as_number(prior_data.get("sigma_lo", q0 / 100.0), "sigma_lo")
-        sigma_hi = _as_number(prior_data.get("sigma_hi", 10.0 * q0), "sigma_hi")
         cap = data.get("cap_at_q0", True)
         if not isinstance(cap, bool):
             raise JobError(f"cap_at_q0 must be a boolean, got {cap!r}")
         try:
-            spec = SafetySpec(q0=q0, p0=p0)
-            prior = SigmaPrior(kind, sigma_lo, sigma_hi)
+            spec = SafetySpec(q0=data.get("q0", 1.0), p0=data.get("p0", 0.01))
+            # n is checked here, before the default n_list is built from it
+            n = _require_count("n", data.get("n", 40))
+            prior = SigmaPrior(prior_data.get("type", "log_uniform"),
+                               prior_data.get("sigma_lo", spec.q0 / 100.0),
+                               prior_data.get("sigma_hi", 10.0 * spec.q0))
         except DomainError as exc:
             raise JobError(str(exc)) from exc
-        return cls(spec=spec, prior=prior, n_required=n, n_list=n_list,
-                   cap_at_q0=cap, tol=_as_number(data.get("tol", 1e-4), "tol"),
-                   trials=_as_int(data.get("trials", 100_000), "trials"),
-                   seed=_as_int(data.get("seed", 0), "seed"))
+        return cls(spec=spec, prior=prior, n_required=n,
+                   n_list=[n * 2**k for k in range(5)] if n_list is None else n_list,
+                   cap_at_q0=cap, tol=data.get("tol", 1e-4),
+                   trials=data.get("trials", 100_000), seed=data.get("seed", 0))
 
     @classmethod
     def from_file(cls, path: str) -> "JobSpec":
+        text = _read_text(path, "job file")
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise JobError(f"cannot read job file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:   # also too many digits or too deep
             raise JobError(f"job file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
 
-def _as_int(value, name) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise JobError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _as_number(value, name) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise JobError(f"{name} must be a number, got {value!r}")
-    return float(value)
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise JobError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -257,8 +253,7 @@ def _parse_schedule_csv(text: str) -> list[tuple[int, float]]:
             rows.append((int(parts[i_n]), float(parts[i_t])))
         except ValueError as exc:
             raise JobError(f"unparseable schedule row: {line}") from exc
-    if any(a[0] >= b[0] for a, b in zip(rows, rows[1:])):
-        raise JobError("schedule rows must be sorted with strictly increasing n_prime")
+    _require_counts("n_prime", [n for n, _ in rows])
     return rows
 
 
@@ -324,13 +319,8 @@ def cmd_expected_max(n: int, sigma: float, method: str, trials: int,
                      seed: int) -> tuple[int, str]:
     """Expected-maximum estimates; method 'all' compares the three routes."""
     stream = SeededStream(seed=seed, stream_index=STREAM_EXPECTED_MAX)
-    if method == "asymptotic":
-        return EXIT_OK, _fmt(expected_max_asymptotic(n, sigma)) + "\n"
-    if method == "exact":
-        return EXIT_OK, _fmt(expected_max_exact(n, sigma)) + "\n"
-    if method == "monte_carlo":
-        mean, _ = expected_max_monte_carlo(n, sigma, trials, stream)
-        return EXIT_OK, _fmt(mean) + "\n"
+    if method != "all":
+        return EXIT_OK, _fmt(expected_max(n, sigma, method, trials, stream)) + "\n"
     asym = expected_max_asymptotic(n, sigma)
     exact = expected_max_exact(n, sigma)
     mc_mean, mc_se = expected_max_monte_carlo(n, sigma, trials, stream)
@@ -386,12 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_job(args) -> JobSpec:
     job = JobSpec.from_file(args.job) if args.job else JobSpec.from_dict({})
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise JobError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
         job = replace(job, seed=args.seed)
     if args.trials is not None:
-        if args.trials < 1:
-            raise JobError(f"--trials must be >= 1, got {args.trials}")
         job = replace(job, trials=args.trials)
     return job
 
@@ -420,11 +406,7 @@ def main(argv=None) -> int:
         elif args.command == "schedule":
             code, text = cmd_schedule(_load_job(args))
         elif args.command == "verify":
-            try:
-                with open(args.schedule, "r", encoding="utf-8") as fh:
-                    schedule_text = fh.read()
-            except OSError as exc:
-                raise JobError(f"cannot read schedule file {args.schedule}: {exc}") from exc
+            schedule_text = _read_text(args.schedule, "schedule file")
             code, text = cmd_verify(_load_job(args), schedule_text)
         else:
             code, text = cmd_simulate(_load_job(args), args.mode)

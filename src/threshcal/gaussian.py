@@ -41,9 +41,26 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _require_finite(name: str, x: float) -> float:
-    x = float(x)
+    """x as a finite float.  bool, str and bytes are refused; a value float()
+    cannot take (such as an int too large for a float) raises DomainError
+    without its repr, since an int of over 4,300 digits cannot be printed."""
+    if isinstance(x, (bool, str, bytes)):
+        raise DomainError(f"{name} must be a number, got {x!r}")
+    try:
+        x = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a finite number; the {type(x).__name__} "
+                          "given does not convert to a float") from None
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x!r}")
+    return x
+
+
+def _require_positive(name: str, x: float) -> float:
+    """x as a finite, strictly positive float: a scale or a danger threshold."""
+    x = _require_finite(name, x)
+    if x <= 0.0:
+        raise DomainError(f"{name} must be positive, got {x}")
     return x
 
 
@@ -54,6 +71,16 @@ def _require_count(name: str, n: int) -> int:
     if n < 1:
         raise DomainError(f"{name} must be >= 1, got {n}")
     return n
+
+
+def _require_counts(name: str, values) -> tuple[int, ...]:
+    """values as a non-empty, strictly increasing tuple of counts >= 1."""
+    counts = tuple(_require_count(f"{name} entry", v) for v in values)
+    if not counts:
+        raise DomainError(f"{name} must not be empty")
+    if any(a >= b for a, b in zip(counts, counts[1:])):
+        raise DomainError(f"{name} must be strictly increasing, got {list(counts)}")
+    return counts
 
 
 def std_normal_pdf(x: float) -> float:
@@ -185,7 +212,7 @@ def std_normal_quantile_log(log_p) -> np.ndarray:
 
 def std_normal_quantile(p: float) -> float:
     """Inverse of std_normal_cdf on (0, 1); |Phi(result) - p| <= 1e-12."""
-    p = float(p)
+    p = _require_finite("p", p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie strictly inside (0, 1), got {p!r}")
     x = _acklam(p)
@@ -223,6 +250,9 @@ _WG_CENTER = 0.417959183673469387755102040816327
 
 
 _XK0, _XK1, _XK2, _XK3, _XK4, _XK5, _XK6 = _XGK
+
+# Equal panels of the fixed grid that integrate() evaluates before refining.
+_INITIAL_PANELS = 8
 
 
 def _gk15_nodes(f: Callable, a: float, b: float) -> tuple[float, list]:
@@ -273,10 +303,10 @@ def _vector_panel(values: list, h: float) -> tuple[tuple, tuple]:
 
 def integrate(f: Callable, lo: float, hi: float,
               rel_tol: float = 1e-10, abs_tol: float = 0.0,
-              max_evals: int = 1_000_000, initial_panels: int = 8):
+              max_evals: int = 1_000_000):
     """Globally adaptive Gauss-Kronrod quadrature with interval bisection.
 
-    The range starts as a fixed grid of initial_panels panels (so features
+    The range starts as a fixed grid of 8 equal panels (so features
     narrower than a single panel's node spacing are not silently missed),
     then the panel with the largest error estimate is split until the summed
     error falls within rel_tol of the integral (or below abs_tol, when one
@@ -307,9 +337,8 @@ def integrate(f: Callable, lo: float, hi: float,
         return tuple(0.0 for _ in first) if isinstance(first, tuple) else 0.0
     if not rel_tol > 0.0:
         raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
-    initial_panels = _require_count("initial_panels", initial_panels)
 
-    edges = [lo + (hi - lo) * k / initial_panels for k in range(initial_panels)] + [hi]
+    edges = [lo + (hi - lo) * k / _INITIAL_PANELS for k in range(_INITIAL_PANELS)] + [hi]
     spans = [(a, b) for a, b in zip(edges, edges[1:]) if a != b]
     h, values = _gk15_nodes(f, *spans[0])
     vector = isinstance(values[0], tuple)

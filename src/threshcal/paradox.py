@@ -38,7 +38,9 @@ from .errors import ConfigurationError, DomainError, InfeasibleConditioningError
 from .gaussian import (
     SeededStream,
     _require_count,
+    _require_counts,
     _require_finite,
+    _require_positive,
     integrate,
     log_cdf_power,
     log_std_normal_cdf,
@@ -83,9 +85,7 @@ class DesignScenario:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        _require_finite("sigma_true", self.sigma_true)
-        if self.sigma_true <= 0.0:
-            raise DomainError(f"sigma_true must be positive, got {self.sigma_true}")
+        _require_positive("sigma_true", self.sigma_true)
         _require_count("n_performed", self.n_performed)
         _require_count("trials", self.trials)
         if self.n_performed < self.rule.n_required:
@@ -243,13 +243,9 @@ def paradox_curve(spec: SafetySpec, prior: SigmaPrior, sigma_true: float,
 
     Row r draws from stream.child(r).
     """
-    sigma_true = _positive_sigma(sigma_true)
+    sigma_true = _require_positive("sigma_true", sigma_true)
     trials = _require_count("trials", trials)
-    if not n_list:
-        raise DomainError("n_list must not be empty")
-    counts = [_require_count("n'", n) for n in n_list]
-    if any(a >= b for a, b in zip(counts, counts[1:])):
-        raise DomainError(f"n_list must be strictly increasing, got {list(n_list)}")
+    counts = _require_counts("n_list", n_list)
     max_tabulated = rule.schedule[-1][0]
     for n_prime in counts:
         if not rule.n_required <= n_prime <= max_tabulated:
@@ -314,27 +310,28 @@ def expected_max_asymptotic(n: int, sigma: float = 1.0) -> float:
     n = _require_count("n", n)
     if n < 2:
         raise DomainError("the asymptotic form needs n >= 2 (ln n must be positive)")
-    sigma = _positive_sigma(sigma)
+    sigma = _require_positive("sigma", sigma)
     return EULER_GAMMA * math.sqrt(2.0 * math.log(n)) * sigma
 
 
-def expected_max_exact(n: int, sigma: float = 1.0, rel_tol: float = 1e-11) -> float:
-    """Mean of the maximum of n draws, by quadrature of x n phi(x) Phi(x)^(n-1)."""
+def expected_max_exact(n: int, sigma: float = 1.0) -> float:
+    """Mean of the maximum of n draws, by quadrature of x n phi(x) Phi(x)^(n-1)
+    to relative tolerance 1e-11 (absolute 1e-13, for n = 1, whose mean is 0)."""
     n = _require_count("n", n)
-    sigma = _positive_sigma(sigma)
+    sigma = _require_positive("sigma", sigma)
     window = math.sqrt(2.0 * math.log(max(n, 2))) + 9.0
 
     def integrand(x: float) -> float:
         return n * x * std_normal_pdf(x) * math.exp((n - 1) * log_std_normal_cdf(x))
 
-    return sigma * integrate(integrand, -window, window, rel_tol=rel_tol, abs_tol=1e-13)
+    return sigma * integrate(integrand, -window, window, rel_tol=1e-11, abs_tol=1e-13)
 
 
 def expected_max_monte_carlo(n: int, sigma: float, trials: int,
                              stream: SeededStream) -> tuple[float, float]:
     """Mean of per-trial maxima with its standard error."""
     n = _require_count("n", n)
-    sigma = _positive_sigma(sigma)
+    sigma = _require_positive("sigma", sigma)
     trials = _require_count("trials", trials)
     if trials < 2:
         raise DomainError("need at least 2 trials for a standard error")
@@ -380,10 +377,3 @@ def euler_gamma_partial(n: int) -> float:
     """
     n = _require_count("n", n)
     return math.fsum(1.0 / k for k in range(1, n + 1)) - math.log(n)
-
-
-def _positive_sigma(sigma: float) -> float:
-    sigma = _require_finite("sigma", sigma)
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    return sigma

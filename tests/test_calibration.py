@@ -461,3 +461,39 @@ class TestDomainTypes:
         with pytest.raises(DomainError):
             CalibrationResult(threshold=2.0, achieved=0.01, iterations=1,
                               bracket=(0.0, 1.0), capped=False, uncapped_threshold=2.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: SafetySpec(q0="2", p0=0.01),
+        lambda: SafetySpec(q0=1.0, p0="0.01"),
+        lambda: SafetySpec(q0=10**400, p0=0.01),
+        lambda: SafetySpec(q0=True, p0=0.01),
+        lambda: SigmaPrior("log_uniform", "0.01", "10"),
+        lambda: SigmaPrior.log_uniform(0.01, 10**400),
+        lambda: SigmaPrior.point(b"1"),
+    ], ids=["q0-str", "p0-str", "q0-huge", "q0-bool", "prior-str", "prior-huge",
+            "point-bytes"])
+    def test_number_fields_reject_non_numbers(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_number_fields_are_stored_as_floats(self):
+        spec = SafetySpec(q0=2, p0=np.float64(0.01))
+        prior = SigmaPrior("log_uniform", 1, np.float32(30.0))
+        assert [type(v) for v in (spec.q0, spec.p0, prior.sigma_lo, prior.sigma_hi)] == [float] * 4
+        assert spec == SafetySpec(q0=2.0, p0=0.01)
+
+
+class TestScheduleCounts:
+    @pytest.mark.parametrize("n_list,message", [
+        ([80, 40], "n_list must be strictly increasing"),
+        ([0, 40], "n_list entry must be >= 1"),
+        ([40, 80.0], "n_list entry must be an integer"),
+    ])
+    def test_calibrate_schedule_rejects_bad_counts(self, n_list, message):
+        with pytest.raises(DomainError, match=message):
+            calibrate_schedule(DEMO, DEMO_PRIOR, n_list)
+
+    def test_numpy_counts_are_accepted(self):
+        rule, _ = calibrate_schedule(DEMO, DEMO_PRIOR, np.array([40, 80]))
+        assert [type(n) for n, _ in rule.schedule] == [int, int]
+        assert rule == threshold_schedule(DEMO, DEMO_PRIOR, [40, 80])

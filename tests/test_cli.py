@@ -358,3 +358,78 @@ class TestArgumentHandling:
     def test_bad_seed_flag(self, capsys):
         code, _, _ = run_cli(capsys, "calibrate", "--seed", "-5")
         assert code == EXIT_INPUT_ERROR
+
+
+class TestJobFieldRejection:
+    """Every malformed job field, in a file or on the command line, is an input error."""
+
+    @pytest.mark.parametrize("fields,flags,message", [
+        ({"n": 40.5}, (), "n must be an integer"),
+        ({"n": 0}, (), "error: n must be >= 1, got 0"),
+        ({"q0": "1"}, (), "q0 must be a number"),
+        ({"q0": 10**400}, (), "q0 must be a finite number"),
+        ({"tol": True}, (), "tol must be a number"),
+        ({"tol": 10**400}, (), "tol must be a finite number"),
+        ({"seed": -1}, (), "seed must fit in an unsigned 64-bit integer"),
+        ({"seed": 1.0}, (), "seed must be an integer"),
+        ({"trials": 0}, (), "trials must be >= 1"),
+        ({"n_list": [40, 40]}, (), "n_list must be strictly increasing"),
+        ({"n_list": []}, (), "n_list must not be empty"),
+        ({}, ("--seed", "-5"), "seed must fit in an unsigned 64-bit integer"),
+        ({}, ("--trials", "0"), "trials must be >= 1"),
+    ], ids=["n-float", "n-zero", "q0-string", "q0-huge", "tol-bool", "tol-huge",
+            "seed-negative", "seed-float", "trials-zero", "n_list-repeated", "n_list-empty",
+            "seed-flag", "trials-flag"])
+    def test_rejected_as_input_error(self, capsys, tmp_path, fields, flags, message):
+        path = write_job(tmp_path, **fields)
+        code, out, err = run_cli(capsys, "calibrate", "--job", path, *flags)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith("error: ")
+        assert message in err
+
+
+class TestUnreadableInputs:
+    """Job and schedule files that cannot be decoded are input errors, not tracebacks."""
+
+    def _assert_input_error(self, capsys, *argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_job_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_bytes(b'{"n": 40}\xff')
+        self._assert_input_error(capsys, "calibrate", "--job", str(path),
+                                 message="cannot read job file")
+
+    def test_schedule_file_that_is_not_utf8(self, capsys, tmp_path):
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_bytes(b"n_prime,threshold\n40,0.5\xff\n")
+        self._assert_input_error(capsys, "verify", "--schedule", str(schedule),
+                                 message="cannot read schedule file")
+
+    def test_job_integer_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text('{"n": ' + "1" * 5000 + "}")
+        self._assert_input_error(capsys, "calibrate", "--job", str(path),
+                                 message="is not valid JSON")
+
+    def test_job_nested_past_the_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        self._assert_input_error(capsys, "calibrate", "--job", str(path),
+                                 message="is not valid JSON")
+
+    @pytest.mark.parametrize("rows,message", [
+        ("80,0.6\n40,0.5\n", "n_prime must be strictly increasing"),
+        ("0,0.5\n", "n_prime entry must be >= 1"),
+    ], ids=["unsorted", "zero"])
+    def test_schedule_counts_are_checked(self, capsys, tmp_path, rows, message):
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_text("n_prime,threshold\n" + rows)
+        self._assert_input_error(capsys, "verify", "--schedule", str(schedule),
+                                 message=message)

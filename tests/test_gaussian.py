@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 from threshcal.errors import DomainError, IntegrationError
 from threshcal.gaussian import (
     SeededStream,
+    _require_counts,
+    _require_finite,
+    _require_positive,
     integrate,
     log_cdf_power,
     log_std_normal_cdf,
@@ -382,3 +385,45 @@ class TestSeededStream:
 @given(st.floats(min_value=-37.0, max_value=8.0), st.integers(min_value=1, max_value=10**6))
 def test_log_cdf_power_is_n_linear(x, n):
     assert log_cdf_power(x, n) == pytest.approx(n * log_std_normal_cdf(x), rel=1e-15)
+
+
+class TestRequireHelpers:
+    """The package's shared argument checks."""
+
+    @pytest.mark.parametrize("value", [True, "1.0", b"1.0", None, [1.0], 10**400,
+                                       float("nan"), -float("inf")])
+    def test_finite_rejects_non_numbers(self, value):
+        with pytest.raises(DomainError, match="^x must be"):
+            _require_finite("x", value)
+
+    def test_finite_leaves_unprintable_ints_out_of_the_message(self):
+        with pytest.raises(DomainError) as exc:
+            _require_finite("x", 10**5000)
+        assert "int given does not convert" in str(exc.value)
+
+    def test_finite_returns_a_float(self):
+        for value in (3, np.int64(3), np.float32(3.0), 3.0):
+            assert type(_require_finite("x", value)) is float
+
+    @pytest.mark.parametrize("value", [0.0, -1e-300, -2])
+    def test_positive_rejects_zero_and_below(self, value):
+        with pytest.raises(DomainError, match="^s must be positive"):
+            _require_positive("s", value)
+
+    def test_counts_returns_a_tuple_of_ints(self):
+        assert _require_counts("c", np.array([1, 5, 9])) == (1, 5, 9)
+        assert [type(n) for n in _require_counts("c", [np.int64(2), 3])] == [int, int]
+
+    @pytest.mark.parametrize("values,message", [
+        ([], "c must not be empty"),
+        ([3, 3], "c must be strictly increasing"),
+        ([0, 1], "c entry must be >= 1"),
+        ([True], "c entry must be an integer"),
+    ])
+    def test_counts_rejects(self, values, message):
+        with pytest.raises(DomainError, match=message):
+            _require_counts("c", values)
+
+    def test_quantile_rejects_huge_int(self):
+        with pytest.raises(DomainError):
+            std_normal_quantile(10**400)
