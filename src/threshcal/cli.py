@@ -37,8 +37,8 @@ digit numbers; diagnostics go to standard error.  Exit codes:
 
     0  success
     1  input error, including a job or schedule file that cannot be read
-       or decoded (UTF-8, and JSON for a job) and an --out path that
-       cannot be written
+       or decoded (UTF-8, and JSON for a job), a count (n, an n_list entry,
+       trials, --n) above 2**36, and an --out path that cannot be written
     2  infeasibility (no threshold can meet the target), or a quadrature
        that exhausts its budget before converging
     3  verification failure

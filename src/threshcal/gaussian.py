@@ -64,12 +64,21 @@ def _require_positive(name: str, x: float) -> float:
     return x
 
 
+# Largest count any routine takes (measurement counts and trial counts
+# alike): float arithmetic on it stays exact and finite, and a simulation
+# of this many trials is a plan of 2^20 blocks.
+_MAX_COUNT = 2**36
+
+
 def _require_count(name: str, n: int) -> int:
+    """n as an int in [1, _MAX_COUNT]."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {n!r}")
     n = int(n)
     if n < 1:
         raise DomainError(f"{name} must be >= 1, got {n}")
+    if n > _MAX_COUNT:
+        raise DomainError(f"{name} must be at most 2**36 = {_MAX_COUNT}")
     return n
 
 
@@ -188,6 +197,11 @@ def _acklam(p: float) -> float:
     return _acklam_central(p - 0.5)
 
 
+# Elements of one slice of std_normal_quantile_log: the temporaries of a
+# long argument stay at a few arrays of this length.
+_QUANTILE_SLICE = 8192
+
+
 def std_normal_quantile_log(log_p) -> np.ndarray:
     """Phi^-1(exp(log_p)) elementwise, for log_p in [-inf, 0].
 
@@ -196,10 +210,21 @@ def std_normal_quantile_log(log_p) -> np.ndarray:
     log-probability so that maxima of many draws keep their digits: the
     lower tail uses log_p directly and the upper tail takes 1 - p as
     -expm1(log_p).  The ends map to -inf (log_p = -inf) and +inf
-    (log_p = 0).
+    (log_p = 0).  Long arguments are evaluated in slices of
+    _QUANTILE_SLICE elements; each element's value does not depend on the
+    slicing.
     """
     lp = np.asarray(log_p, dtype=float)
-    out = np.empty_like(lp)
+    flat = lp.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _QUANTILE_SLICE):
+        stop = start + _QUANTILE_SLICE
+        _quantile_log_slice(flat[start:stop], out[start:stop])
+    return out.reshape(lp.shape)
+
+
+def _quantile_log_slice(lp: np.ndarray, out: np.ndarray) -> None:
+    """std_normal_quantile_log of the 1-d array lp, written into out."""
     low = lp < _ACK_LOG_P_LOW
     high = lp > _ACK_LOG_P_HIGH
     mid = ~(low | high)
@@ -207,7 +232,6 @@ def std_normal_quantile_log(log_p) -> np.ndarray:
         out[low] = _acklam_tail(np.sqrt(-2.0 * lp[low]))
         out[high] = -_acklam_tail(np.sqrt(-2.0 * np.log(-np.expm1(lp[high]))))
     out[mid] = _acklam_central(np.exp(lp[mid]) - 0.5)
-    return out
 
 
 def std_normal_quantile(p: float) -> float:

@@ -21,13 +21,19 @@ once and compares its row maximum against cutoffs:
 A trial therefore costs a fixed number of draws whatever the count.  Every
 simulation runs over a fixed plan of _BLOCK_TRIALS-trial blocks: block b
 draws from the substream stream.generator(b) and reduces to integer counts
-or correctly-rounded (math.fsum) partial sums, so the result is
-bit-identical for a fixed seed.
+or correctly-rounded partial sums.  The blocks are independent, so they
+run on every core the process may use (_WORKERS, read from its CPU
+affinity; there is no setting).  Every generator is made on the calling
+thread in block order, and the reductions are exact, so neither the
+thread count nor the order in which blocks finish can change a bit: the
+result is bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -54,6 +60,24 @@ EULER_GAMMA = 0.5772156649015329
 # Trials per block of the fixed block plan; a block's temporaries stay at a
 # few arrays of this length whatever the measurement count.
 _BLOCK_TRIALS = 1 << 16
+
+# Threads that run the blocks of one simulation, at most one per block:
+# the cores this process may run on.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:   # no CPU affinity on this platform
+    _WORKERS = os.cpu_count() or 1
+
+# Blocks whose generators (about 1 KB each) are made and held at once, so
+# the largest plan (2^20 blocks) does not hold a million of them.
+_WAVE_BLOCKS = 256
+
+# _exact_sum works on slices of this many elements, and bins the values
+# by frexp exponent plus the bias: 2^-1074 has exponent -1073, the largest
+# float 1024.
+_SUM_SLICE = 8192
+_EXPONENT_BIAS = 1073
+_EXPONENT_BINS = _EXPONENT_BIAS + 1025
 
 # Floor on the standard exponential behind ln U.  The generator can return
 # exactly 0 (ln U = 0, an infinite maximum); every other value it returns
@@ -138,9 +162,82 @@ def _block_plan(trials: int) -> list[int]:
 
 def _map_blocks(stream: SeededStream, trials: int,
                 block_fn: Callable[[np.random.Generator, int], tuple]) -> list[tuple]:
-    """block_fn(stream.generator(b), size) for every block b of the plan, in order."""
-    return [block_fn(stream.generator(b), size)
-            for b, size in enumerate(_block_plan(trials))]
+    """block_fn(stream.generator(b), size) for every block b of the plan, in order.
+
+    The generators are made here, on the calling thread, in block order,
+    _WAVE_BLOCKS at a time; each wave's blocks then run on
+    min(_WORKERS, blocks) threads (_run_blocks).
+    """
+    plan = _block_plan(trials)
+    results = []
+    for first in range(0, len(plan), _WAVE_BLOCKS):
+        wave = range(first, min(first + _WAVE_BLOCKS, len(plan)))
+        results += _run_blocks([(stream.generator(b), plan[b]) for b in wave], block_fn)
+    return results
+
+
+def _run_blocks(jobs: list, block_fn: Callable) -> list[tuple]:
+    """block_fn(*job) for every job, in order, on min(_WORKERS, jobs) threads.
+
+    The calling thread is one of them; thread w takes jobs w, w + workers,
+    ...  The numpy calls in a block release the GIL, so the threads
+    overlap.  A failing job stops its own thread; once every thread has
+    finished, the exception of the lowest failing job is raised, which is
+    the one a plain loop would raise.
+    """
+    workers = min(_WORKERS, len(jobs))
+    if workers <= 1:
+        return [block_fn(*job) for job in jobs]
+
+    results: list = [None] * len(jobs)
+    failures: list[tuple[int, BaseException]] = []
+
+    def run(first: int) -> None:
+        for b in range(first, len(jobs), workers):
+            try:
+                results[b] = block_fn(*jobs[b])
+            except BaseException as exc:   # re-raised on the calling thread
+                failures.append((b, exc))
+                return
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()), bit for bit, for up to 2^26 finite floats.
+
+    Each value is m 2^e with 1/2 <= |m| < 1 (frexp); its 53-bit integer
+    mantissa splits into two halves below 2^27.  Summing the halves per
+    exponent (bincount) is then exact in float64, and one Python int
+    carries the exact total to a single correctly-rounded division.  The
+    work runs in slices of _SUM_SLICE elements, in place, so its
+    temporaries stay small.  Where only math.fsum's partial sums would
+    overflow, the result is the finite total.
+    """
+    sum_high = np.zeros(_EXPONENT_BINS)
+    sum_low = np.zeros(_EXPONENT_BINS)
+    for start in range(0, x.size, _SUM_SLICE):
+        mant, exp = np.frexp(x[start:start + _SUM_SLICE])
+        np.ldexp(mant, 26, out=mant)
+        high = np.trunc(mant)
+        np.subtract(mant, high, out=mant)
+        np.ldexp(mant, 27, out=mant)
+        exp += _EXPONENT_BIAS
+        sum_high += np.bincount(exp, weights=high, minlength=_EXPONENT_BINS)
+        sum_low += np.bincount(exp, weights=mant, minlength=_EXPONENT_BINS)
+    total = 0
+    for k in np.flatnonzero((sum_high != 0.0) | (sum_low != 0.0)).tolist():
+        total += ((int(sum_high[k]) << 27) + int(sum_low[k])) << k
+    # value = (high 2^27 + low) 2^(e - 53), and bin k holds e = k - bias
+    return total / (1 << (_EXPONENT_BIAS + 53))
 
 
 def _log_uniform(gen: np.random.Generator, size: int) -> np.ndarray:
@@ -338,7 +435,7 @@ def expected_max_monte_carlo(n: int, sigma: float, trials: int,
 
     def block(gen, size):
         m = std_normal_quantile_log(_log_uniform(gen, size) / n)
-        return math.fsum(m.tolist()), math.fsum((m * m).tolist())
+        return _exact_sum(m), _exact_sum(m * m)
 
     parts = _map_blocks(stream, trials, block)
     total = math.fsum(p[0] for p in parts)

@@ -3,7 +3,9 @@
 `bench/tracing.py` replaces functions of `threshcal.cli`, `calibration`,
 `gaussian` and `paradox` by name, so a rename in the library breaks the
 traced benchmark run (`bench/run.py --trace 1`) without failing any other
-test.  This test installs the tracer and uninstalls it again.
+test.  The first test installs the tracer and uninstalls it again; the
+second checks that its counts stay exact while simulation blocks run on
+several threads.
 """
 
 from pathlib import Path
@@ -34,3 +36,41 @@ def test_tracer_patches_and_restores_every_hook(monkeypatch):
     for old, new in zip(before, after):
         assert new.keys() == old.keys()
         assert all(new[key] is old[key] for key in old)
+
+
+# Draws per trial of each traced Monte Carlo kernel: a scale, ln U and an
+# extra normal; ln U and ln V; ln U.
+DRAWS_PER_TRIAL = {"estimate_conditional_exceedance": 3, "simulate_minimal_effort": 2,
+                   "expected_max_monte_carlo": 1}
+
+
+def test_tracer_counts_stay_exact_with_block_threads(monkeypatch, capsys, tmp_path):
+    """The tracer counts draws from the worker threads into one span without
+    a lock; on the few-measurements workload, run twice with two threads,
+    every block and every draw must still be counted."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(paradox, "_WORKERS", 2)
+    import tracing
+    import workloads
+
+    _, steps = workloads.build("few-measurements", 5, tmp_path)
+    runs = []
+    for _ in range(2):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            for step in steps:
+                assert cli.main(list(step.argv)) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        metrics = tracing.layer_metrics(tracer.spans)
+        for fn, per_trial in DRAWS_PER_TRIAL.items():
+            name = f"paradox.{fn}"
+            spans = [s for s in tracer.spans if s.name == name]
+            assert spans and metrics[f"{name}.trials"] > paradox._BLOCK_TRIALS
+            assert metrics[f"{name}.draws"] == per_trial * metrics[f"{name}.trials"]
+            assert metrics[f"{name}.blocks"] == sum(
+                len(paradox._block_plan(s.attrs["trials"])) for s in spans)
+        runs.append(tracing.count_metrics(metrics))
+    assert runs[0] == runs[1]

@@ -377,9 +377,14 @@ class TestJobFieldRejection:
         ({"n_list": []}, (), "n_list must not be empty"),
         ({}, ("--seed", "-5"), "seed must fit in an unsigned 64-bit integer"),
         ({}, ("--trials", "0"), "trials must be >= 1"),
+        ({"n": 10**400}, (), "n must be at most 2**36"),
+        ({"trials": 10**400}, (), "trials must be at most 2**36"),
+        ({}, ("--trials", "100000000000000000000"), "trials must be at most 2**36"),
+        ({"n_list": [40, 2**36 + 1]}, (), "n_list entry must be at most 2**36"),
     ], ids=["n-float", "n-zero", "q0-string", "q0-huge", "tol-bool", "tol-huge",
             "seed-negative", "seed-float", "trials-zero", "n_list-repeated", "n_list-empty",
-            "seed-flag", "trials-flag"])
+            "seed-flag", "trials-flag", "n-huge", "trials-huge", "trials-flag-huge",
+            "n_list-huge"])
     def test_rejected_as_input_error(self, capsys, tmp_path, fields, flags, message):
         path = write_job(tmp_path, **fields)
         code, out, err = run_cli(capsys, "calibrate", "--job", path, *flags)

@@ -16,7 +16,11 @@ from hypothesis import strategies as st
 
 from threshcal.errors import DomainError, IntegrationError
 from threshcal.gaussian import (
+    _MAX_COUNT,
+    _QUANTILE_SLICE,
     SeededStream,
+    _quantile_log_slice,
+    _require_count,
     _require_counts,
     _require_finite,
     _require_positive,
@@ -160,6 +164,24 @@ class TestStdNormalQuantileLog:
         x = std_normal_quantile_log(np.array([-1e300, -1e-300]))
         assert np.all(np.isfinite(x))
         assert x[0] < -1e149 and x[1] > 37.0
+
+    def test_slicing_leaves_every_value_unchanged(self):
+        # all three branches and both ends, over a length that is not a
+        # multiple of the slice
+        rng = np.random.default_rng(8)
+        size = 3 * _QUANTILE_SLICE + 1_234
+        log_p = -rng.standard_exponential(size) * 10.0 ** rng.uniform(-12, 2, size)
+        log_p[[0, 5, size - 1]] = [-np.inf, 0.0, -1e-300]
+        x = std_normal_quantile_log(log_p)
+        whole = np.empty(size)
+        _quantile_log_slice(log_p, whole)   # one pass over the whole array
+        assert x.tobytes() == whole.tobytes()
+        # slices that straddle the evaluation's own slice boundaries
+        for start in range(0, size, 5_000):
+            part = std_normal_quantile_log(log_p[start:start + 5_000])
+            assert part.tobytes() == x[start:start + 5_000].tobytes()
+        assert std_normal_quantile_log(log_p.reshape(2, -1)).tobytes() == x.tobytes()
+        assert std_normal_quantile_log(-1.0).shape == ()
 
 
 class TestLogCdfPower:
@@ -409,6 +431,12 @@ class TestRequireHelpers:
     def test_positive_rejects_zero_and_below(self, value):
         with pytest.raises(DomainError, match="^s must be positive"):
             _require_positive("s", value)
+
+    def test_count_bound(self):
+        assert _require_count("c", _MAX_COUNT) == 2**36
+        for value in (_MAX_COUNT + 1, 10**400):
+            with pytest.raises(DomainError, match=r"^c must be at most 2\*\*36"):
+                _require_count("c", value)
 
     def test_counts_returns_a_tuple_of_ints(self):
         assert _require_counts("c", np.array([1, 5, 9])) == (1, 5, 9)

@@ -7,11 +7,19 @@ quadrature through an independent sampling route.
 """
 
 import math
+import sys
+import threading
+import time
+from fractions import Fraction
 
 import bruteforce
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from threshcal import paradox
 
 from threshcal.calibration import (
     SafetySpec,
@@ -28,7 +36,9 @@ from threshcal.paradox import (
     EULER_GAMMA,
     DesignScenario,
     SimulationReport,
+    _exact_sum,
     _log_uniform,
+    _map_blocks,
     estimate_conditional_exceedance,
     euler_gamma_partial,
     expected_max,
@@ -414,3 +424,229 @@ class TestBruteForceEquivalence:
                                             SeededStream(seed=36, stream_index=5))
         oracle = bruteforce.expected_max(n, 1.5, BRUTE_TRIALS, np.random.default_rng(6000 + n))
         assert agree(mean, se, oracle)
+
+
+# Four blocks, the last one partial: with 2 or 3 threads some thread runs
+# more than one block.
+INVARIANCE_TRIALS = 3 * _BLOCK_TRIALS + 777
+INVARIANCE_BLOCKS = 4
+
+
+def every_entry_point(rule):
+    """The result of every Monte Carlo entry point at INVARIANCE_TRIALS."""
+    stream = SeededStream(seed=41, stream_index=1)
+    results = [simulate_minimal_effort(40, INVARIANCE_TRIALS, stream)]
+    for mode in ("fixed_sigma", "minimal_effort"):
+        for kind in ("fixed_threshold", "schedule"):
+            scenario = DesignScenario(mode=mode, sigma_true=1.0, rule=rule, n_performed=40,
+                                      trials=INVARIANCE_TRIALS, stream=stream)
+            results.append(simulate_compliance(scenario, kind))
+    results.append(paradox_curve(DEMO, DEMO_PRIOR, 1.0, rule, [2, 40, 640],
+                                 INVARIANCE_TRIALS, stream))
+    results.append(estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR,
+                                                   INVARIANCE_TRIALS, stream))
+    results.append(expected_max_monte_carlo(40, 1.5, INVARIANCE_TRIALS, stream))
+    return results
+
+
+class _BlockFailure(Exception):
+    pass
+
+
+def block_index(stream):
+    """Block index by the first draw of the block's generator."""
+    return {stream.generator(b).random(): b for b in range(INVARIANCE_BLOCKS)}
+
+
+def call_with_deadline(fn, seconds=60.0):
+    """fn() on a daemon thread; its exception or result, or a failure after seconds."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no result within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+class TestWorkerCountInvariance:
+    """The thread count changes neither a result nor an exception."""
+
+    def test_every_entry_point_is_identical(self, wide_rule, monkeypatch):
+        results = []
+        for workers, wave in ((1, 256), (2, 256), (3, 256), (2, 3)):
+            monkeypatch.setattr(paradox, "_WORKERS", workers)
+            monkeypatch.setattr(paradox, "_WAVE_BLOCKS", wave)
+            results.append(every_entry_point(wide_rule))
+        assert results[0] == results[1] == results[2] == results[3]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_come_back_in_block_order(self, monkeypatch, workers):
+        monkeypatch.setattr(paradox, "_WORKERS", workers)
+        stream = SeededStream(seed=42)
+        index = block_index(stream)
+        assert _map_blocks(stream, INVARIANCE_TRIALS,
+                           lambda gen, size: (index[gen.random()], size)) == [
+            (0, _BLOCK_TRIALS), (1, _BLOCK_TRIALS), (2, _BLOCK_TRIALS), (3, 777)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("failing", [(1,), (1, 2), (1, 3)])
+    def test_failing_block_raises_its_own_exception(self, monkeypatch, workers, failing):
+        # the lowest failing block's exception, as a plain loop would raise
+        monkeypatch.setattr(paradox, "_WORKERS", workers)
+        stream = SeededStream(seed=42)
+        index = block_index(stream)
+
+        def block(gen, size):
+            b = index[gen.random()]
+            if b in failing:
+                raise _BlockFailure(b)
+            return (b,)
+
+        threads_before = threading.active_count()
+        with pytest.raises(_BlockFailure) as exc:
+            call_with_deadline(lambda: _map_blocks(stream, INVARIANCE_TRIALS, block))
+        assert exc.value.args == (1,)
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_exception_waits_for_every_thread(self, monkeypatch, workers):
+        # block 0 fails at once; the other threads' blocks are slow
+        monkeypatch.setattr(paradox, "_WORKERS", workers)
+        stream = SeededStream(seed=42)
+        index = block_index(stream)
+        finished = []
+
+        def block(gen, size):
+            b = index[gen.random()]
+            if b == 0:
+                raise _BlockFailure(b)
+            time.sleep(0.05)
+            finished.append(b)
+            return (b,)
+
+        with pytest.raises(_BlockFailure):
+            call_with_deadline(lambda: _map_blocks(stream, INVARIANCE_TRIALS, block))
+        assert sorted(finished) == [b for b in range(INVARIANCE_BLOCKS) if b % workers]
+
+    def test_stress_more_threads_than_cores(self, monkeypatch):
+        # 201 tiny blocks in four waves on 8 threads, with thread switches
+        # forced as often as the interpreter allows
+        monkeypatch.setattr(paradox, "_BLOCK_TRIALS", 16)
+        monkeypatch.setattr(paradox, "_WAVE_BLOCKS", 64)
+        stream = SeededStream(seed=43)
+        trials = 16 * 200 + 5
+
+        def block(gen, size):
+            draw = gen.random()
+            if draw in failing:
+                raise _BlockFailure(failing[draw])
+            return (draw, size)
+
+        failing = {}
+        monkeypatch.setattr(paradox, "_WORKERS", 1)
+        expected = _map_blocks(stream, trials, block)
+        failing = {expected[b][0]: b for b in (150, 38, 37)}
+        monkeypatch.setattr(paradox, "_WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(_BlockFailure) as exc:
+                call_with_deadline(lambda: _map_blocks(stream, trials, block))
+            failing = {}
+            results = call_with_deadline(lambda: _map_blocks(stream, trials, block))
+        finally:
+            sys.setswitchinterval(interval)
+        assert exc.value.args == (37,)
+        assert len(expected) == 201 and expected[-1][1] == 5
+        assert results == expected
+
+    def test_generators_are_made_on_the_calling_thread_in_block_order(
+            self, wide_rule, monkeypatch):
+        calls = []
+        make_generator = SeededStream.generator
+
+        def generator(stream, *path):
+            calls.append((threading.get_ident(), stream.path, path))
+            return make_generator(stream, *path)
+
+        monkeypatch.setattr(SeededStream, "generator", generator)
+        monkeypatch.setattr(paradox, "_WORKERS", 3)
+        monkeypatch.setattr(paradox, "_WAVE_BLOCKS", 3)
+        every_entry_point(wide_rule)
+        assert {ident for ident, _, _ in calls} == {threading.get_ident()}
+        # ten runs of the block plan: seven simulations and three curve rows,
+        # row r on stream.child(r)
+        plan = [(b,) for b in range(INVARIANCE_BLOCKS)]
+        assert [path for _, _, path in calls] == plan * 10
+        assert [row for _, row, _ in calls if row] == [(r,) for r in range(3) for _ in plan]
+
+
+def assert_same_float(actual, expected):
+    assert actual.hex() == expected.hex()
+
+
+def exact_oracle(values):
+    """math.fsum, or, where its partial sums overflow, the correctly-rounded
+    exact total (float() of a Fraction rounds correctly)."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return float(sum(map(Fraction, values)))
+
+
+class TestExactSum:
+    """_exact_sum is math.fsum bit for bit."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=300))
+    def test_matches_fsum(self, values):
+        try:
+            expected = exact_oracle(values)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _exact_sum(np.array(values))
+            return
+        assert_same_float(_exact_sum(np.array(values)), expected)
+
+    @staticmethod
+    def _fixed_cases():
+        rng = np.random.default_rng(9)
+        tiny = 5e-324
+        big = rng.standard_normal(1_000) * 1e300
+        return {
+            "subnormals": rng.integers(-2**40, 2**40, 5_000) * tiny,
+            "mixed-signs": rng.standard_normal(10_000) * 10.0 ** rng.integers(-5, 5, 10_000),
+            "whole-exponent-range": np.ldexp(rng.uniform(-1.0, 1.0, 20_000),
+                                             rng.integers(-1074, 1000, 20_000)),
+            "heavy-cancellation": np.concatenate([big, [1.0, tiny, -1e-300], -big[::-1]]),
+            "all-zeros": np.zeros(1_000),
+            "negative-zeros": np.full(7, -0.0),
+            "one-element": np.array([-0.1]),
+            "one-subnormal": np.array([tiny]),
+            "a-block-of-maxima": std_normal_quantile_log(
+                -rng.standard_exponential(_BLOCK_TRIALS) / 40),
+            "a-block-of-squares": std_normal_quantile_log(
+                -rng.standard_exponential(_BLOCK_TRIALS) / 2) ** 2,
+            "halfway-rounding": np.array([1.0, 2.0**-53, 2.0**-106]),
+            "largest-floats": np.array([1.7e308, 1e308, -1.7e308]),
+            # one exponent whose high-half and low-half sums cancel: the
+            # total (2^27 - 1) 2^-53 is in neither half alone
+            "halves-that-cancel": np.ldexp([(2**25 + 1) * 2**27 + 5, -(2**52 + 6)], -53),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "subnormals", "mixed-signs", "whole-exponent-range", "heavy-cancellation",
+        "all-zeros", "negative-zeros", "one-element", "one-subnormal", "a-block-of-maxima",
+        "a-block-of-squares", "halfway-rounding", "largest-floats", "halves-that-cancel"])
+    def test_fixed_cases(self, name):
+        x = self._fixed_cases()[name]
+        assert_same_float(_exact_sum(x), exact_oracle(x.tolist()))
