@@ -197,9 +197,10 @@ def _acklam(p: float) -> float:
     return _acklam_central(p - 0.5)
 
 
-# Elements of one slice of std_normal_quantile_log: the temporaries of a
-# long argument stay at a few arrays of this length.
-_QUANTILE_SLICE = 8192
+# Elements of one slice of the array kernels that run on whole Monte Carlo
+# blocks (std_normal_quantile_log, paradox._exact_sum): their temporaries
+# stay at a few arrays of this length.
+_ARRAY_SLICE = 8192
 
 
 def std_normal_quantile_log(log_p) -> np.ndarray:
@@ -211,14 +212,14 @@ def std_normal_quantile_log(log_p) -> np.ndarray:
     lower tail uses log_p directly and the upper tail takes 1 - p as
     -expm1(log_p).  The ends map to -inf (log_p = -inf) and +inf
     (log_p = 0).  Long arguments are evaluated in slices of
-    _QUANTILE_SLICE elements; each element's value does not depend on the
+    _ARRAY_SLICE elements; each element's value does not depend on the
     slicing.
     """
     lp = np.asarray(log_p, dtype=float)
     flat = lp.ravel()
     out = np.empty_like(flat)
-    for start in range(0, flat.size, _QUANTILE_SLICE):
-        stop = start + _QUANTILE_SLICE
+    for start in range(0, flat.size, _ARRAY_SLICE):
+        stop = start + _ARRAY_SLICE
         _quantile_log_slice(flat[start:stop], out[start:stop])
     return out.reshape(lp.shape)
 

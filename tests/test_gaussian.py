@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from threshcal.errors import DomainError, IntegrationError
 from threshcal.gaussian import (
     _MAX_COUNT,
-    _QUANTILE_SLICE,
+    _ARRAY_SLICE,
     SeededStream,
     _quantile_log_slice,
     _require_count,
@@ -169,7 +169,7 @@ class TestStdNormalQuantileLog:
         # all three branches and both ends, over a length that is not a
         # multiple of the slice
         rng = np.random.default_rng(8)
-        size = 3 * _QUANTILE_SLICE + 1_234
+        size = 3 * _ARRAY_SLICE + 1_234
         log_p = -rng.standard_exponential(size) * 10.0 ** rng.uniform(-12, 2, size)
         log_p[[0, 5, size - 1]] = [-np.inf, 0.0, -1e-300]
         x = std_normal_quantile_log(log_p)
