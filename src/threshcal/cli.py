@@ -41,13 +41,16 @@ digit numbers; diagnostics go to standard error.  Exit codes:
        trials, --n) above 2**36, and an --out path that cannot be written
     2  infeasibility (no threshold can meet the target), or a quadrature
        that exhausts its budget before converging
-    3  verification failure
+    3  verification failure: a verify row whose estimate exceeds p0 by
+       more than four standard errors, whose conditioning event never
+       accepts, or that is underpowered
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -260,29 +263,41 @@ def _parse_schedule_csv(text: str) -> list[tuple[int, float]]:
 def cmd_verify(job: JobSpec, schedule_text: str) -> tuple[int, str]:
     """Monte Carlo check of each schedule row against the target p0.
 
-    A row passes when its estimated conditional exceedance does not exceed
+    A row fails ("false") when its estimated conditional exceedance exceeds
     p0 by more than four standard errors (the guarantee is one-sided; a
     capped threshold may sit well below the target).  A row whose
-    conditioning event never accepts is reported as nan and fails.
+    conditioning event never accepts is reported as nan and fails.  A row
+    that does not fail but kept fewer than 32 (1 - 2 p0) / p0 runs is
+    "underpowered": there, four standard errors at a 2x violation reach p0,
+    so it could not have caught one.  It does not pass, and stderr names
+    the kept runs it needs.  Every other row passes ("true").
     """
     entries = _parse_schedule_csv(schedule_text)
     base = SeededStream(seed=job.seed, stream_index=STREAM_VERIFY)
     rows = [["n_prime", "threshold", "estimate", "standard_error",
              "accepted_runs", "pass"]]
+    p0 = job.spec.p0
+    runs_needed = math.ceil(32.0 * (1.0 - 2.0 * p0) / p0)
     failures = 0
     for row_index, (n_prime, threshold) in enumerate(entries):
         try:
             report = estimate_conditional_exceedance(
                 job.spec, threshold, n_prime, job.prior, job.trials,
                 base.child(row_index))
-            ok = report.estimate - job.spec.p0 <= 4.0 * report.standard_error
-            rows.append([str(n_prime), _fmt(threshold), _fmt(report.estimate),
-                         _fmt(report.standard_error), str(report.accepted_runs),
-                         _flag(ok)])
         except InfeasibleConditioningError:
-            ok = False
+            failures += 1
             rows.append([str(n_prime), _fmt(threshold), "nan", "nan", "0", "false"])
+            continue
+        ok = report.estimate - p0 <= 4.0 * report.standard_error
+        verdict = _flag(ok)
+        if ok and report.accepted_runs < runs_needed:
+            ok, verdict = False, "underpowered"
+            print(f"verify: row n' = {n_prime} is underpowered: {report.accepted_runs} "
+                  f"kept runs, {runs_needed} needed to resolve a 2x violation of p0",
+                  file=sys.stderr)
         failures += 0 if ok else 1
+        rows.append([str(n_prime), _fmt(threshold), _fmt(report.estimate),
+                     _fmt(report.standard_error), str(report.accepted_runs), verdict])
     print(f"verify: {len(entries) - failures}/{len(entries)} rows passed", file=sys.stderr)
     return (EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED), _csv(rows)
 

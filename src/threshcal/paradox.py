@@ -18,6 +18,12 @@ once and compares its row maximum against cutoffs:
 * where the value of the maximum is needed (a random scale, a mean, a
   ratio of two maxima) it is std_normal_quantile_log(ln U / n).
 
+At a random scale, estimate_conditional_exceedance squeezes that
+quantile (Marsaglia 1977): per cell of ln sigma, two cutoffs of the first
+kind, moved outward by a margin wider than the quantile's error, decide
+all but about 1/_SCREEN_CELLS of the trials exactly as the quantile
+would, and only the trials between them evaluate it.
+
 A trial therefore costs a fixed number of draws whatever the count.  Every
 simulation runs over a fixed plan of _BLOCK_TRIALS-trial blocks: block b
 draws from the substream stream.generator(b) and reduces to integer counts
@@ -82,6 +88,25 @@ _EXPONENT_BINS = _EXPONENT_BIAS + 1025
 # exactly 0 (ln U = 0, an infinite maximum); every other value it returns
 # lies far above this floor, so the floor only keeps U inside (0, 1).
 _MIN_EXPONENTIAL = 2.0 ** -100
+
+# Equal cells of the prior's ln-sigma range in the acceptance screen of
+# estimate_conditional_exceedance.  About 1/_SCREEN_CELLS of the trials
+# fall between their cell's two bounds and need the quantile.
+_SCREEN_CELLS = 256
+
+# The screen's margin on x = threshold / sigma is 1e-6 |x| + 1e-12; the
+# condition it must meet is in estimate_conditional_exceedance.
+_SCREEN_REL_MARGIN = 1e-6
+_SCREEN_ABS_MARGIN = 1e-12
+
+# |x| is clipped here before the bounds are taken: n ln Phi is already
+# -inf at -_SCREEN_X_CLIP and 0 at +_SCREEN_X_CLIP, so no bound changes.
+_SCREEN_X_CLIP = 1e300
+
+# Below this scale peak * sigma can round to a subnormal, whose rounding
+# error is not relative, so a prior reaching below it decides no run by
+# the screen (and 1 / sigma stays finite above it).
+_SCREEN_MIN_SIGMA = 2.0 ** -900
 
 _MODES = ("fixed_sigma", "minimal_effort")
 _RULE_KINDS = ("fixed_threshold", "schedule")
@@ -240,7 +265,9 @@ def _exact_sum(x: np.ndarray) -> float:
 
 def _log_uniform(gen: np.random.Generator, size: int) -> np.ndarray:
     """ln U for size uniforms U on the open interval (0, 1)."""
-    return -np.maximum(gen.standard_exponential(size), _MIN_EXPONENTIAL)
+    log_u = gen.standard_exponential(size)
+    np.maximum(log_u, _MIN_EXPONENTIAL, out=log_u)
+    return np.negative(log_u, out=log_u)
 
 
 def _count_maxima_above(stream: SeededStream, trials: int,
@@ -276,7 +303,8 @@ def simulate_minimal_effort(n: int, trials: int, stream: SeededStream) -> Simula
     def block(gen, size):
         log_u = _log_uniform(gen, size)
         log_v = _log_uniform(gen, size)
-        return (int(np.count_nonzero(n * log_v > log_u)),)
+        log_v *= n
+        return (int(np.count_nonzero(log_v > log_u)),)
 
     exceed = sum(p[0] for p in _map_blocks(stream, trials, block))
     return _binomial_report(exceed, trials, accepted_runs=trials)
@@ -359,6 +387,72 @@ def paradox_curve(spec: SafetySpec, prior: SigmaPrior, sigma_true: float,
     return points
 
 
+def _screen_table(threshold: float, n: int, prior: SigmaPrior
+                  ) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Bounds on ln U that decide "max of n at scale sigma <= threshold".
+
+    The prior's range [ln sigma_lo, ln sigma_hi] splits into _SCREEN_CELLS
+    equal cells (one where the range is a single float, as for a point
+    prior).  Over a cell, x = threshold / sigma runs between its values
+    x_k, x_k+1 at the two edges; a threshold <= 0 reverses which edge
+    gives the smaller x, hence the min and max.  With the margin
+    m(x) = 1e-6 |x| + 1e-12,
+
+        low[k]  = n ln Phi(min(x_k, x_k+1) - m)   (ln U <= low[k]: accepted)
+        high[k] = n ln Phi(max(x_k, x_k+1) + m)   (ln U > high[k]: rejected)
+
+    Returns (ln sigma_lo, cells per unit of ln sigma, low, high).  A prior
+    reaching below _SCREEN_MIN_SIGMA gets one cell that decides nothing.
+    """
+    v_lo, v_hi = math.log(prior.sigma_lo), math.log(prior.sigma_hi)
+    if prior.sigma_lo < _SCREEN_MIN_SIGMA:
+        return v_lo, 0.0, np.array([-math.inf]), np.array([math.inf])
+    cells = _SCREEN_CELLS if v_hi > v_lo else 1
+    edges = np.linspace(v_lo, v_hi, cells + 1)
+    with np.errstate(over="ignore"):   # to +-inf, the bounds' own limits
+        x = np.clip(threshold * np.exp(-edges), -_SCREEN_X_CLIP, _SCREEN_X_CLIP)
+        x_min = np.minimum(x[:-1], x[1:])
+        x_max = np.maximum(x[:-1], x[1:])
+        x_min -= _SCREEN_REL_MARGIN * np.abs(x_min) + _SCREEN_ABS_MARGIN
+        x_max += _SCREEN_REL_MARGIN * np.abs(x_max) + _SCREEN_ABS_MARGIN
+        low = np.array([log_std_normal_cdf(v) for v in x_min.tolist()]) * n
+        high = np.array([log_std_normal_cdf(v) for v in x_max.tolist()]) * n
+    scale = cells / (v_hi - v_lo) if cells > 1 else 0.0
+    return v_lo, scale, low, high
+
+
+def _accepted(log_u: np.ndarray, sigma: np.ndarray, threshold: float, n: int,
+              table: tuple[float, float, np.ndarray, np.ndarray]) -> np.ndarray:
+    """std_normal_quantile_log(log_u / n) * sigma <= threshold, bit for bit.
+
+    A trial falls in cell int((ln sigma - ln sigma_lo) * scale) of the
+    _screen_table bounds: int() truncates a rounding just below
+    ln sigma_lo to cell 0, and np.take's clip mode maps ln sigma_hi (and a
+    rounding just past it) to the last cell.  The bounds
+    decide every trial outside (low, high] of its cell; the quantile runs
+    only on the rest.  The work runs in _ARRAY_SLICE slices, so the
+    temporaries beyond the two boolean results stay slice-sized.
+    """
+    v_lo, scale, low, high = table
+    accepted = np.empty(log_u.size, dtype=bool)
+    undecided = np.empty(log_u.size, dtype=bool)
+    bound = np.empty(min(log_u.size, _ARRAY_SLICE))
+    for start in range(0, log_u.size, _ARRAY_SLICE):
+        part = slice(start, start + _ARRAY_SLICE)
+        lu, acc, und = log_u[part], accepted[part], undecided[part]
+        b = bound[:lu.size]
+        cell = np.log(sigma[part])
+        cell -= v_lo
+        cell *= scale
+        cell = cell.astype(np.intp)
+        np.less_equal(lu, np.take(low, cell, out=b, mode="clip"), out=acc)
+        np.less_equal(lu, np.take(high, cell, out=b, mode="clip"), out=und)
+        und &= ~acc
+    rows = np.flatnonzero(undecided)
+    accepted[rows] = std_normal_quantile_log(log_u[rows] / n) * sigma[rows] <= threshold
+    return accepted
+
+
 def estimate_conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
                                     prior: SigmaPrior, trials: int,
                                     stream: SeededStream) -> SimulationReport:
@@ -370,16 +464,34 @@ def estimate_conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
     This is the sampling counterpart of conditional_exceedance and shares
     no code with its quadrature; the standard error is binomial over the
     kept runs.
+
+    A run is kept when std_normal_quantile_log(ln U / n) * sigma <=
+    threshold.  That test is decided first against a table of bounds on
+    ln U, per cell of ln sigma (_screen_table): ln U at or below the cell's
+    low bound is kept, above its high bound dropped, and only the runs
+    between the two, about 1/_SCREEN_CELLS of them, evaluate the quantile.
+    The bounds are n ln Phi at x = threshold / sigma, moved outward by the
+    margin m(x) = 1e-6 |x| + 1e-12.  They decide a run as the computed test
+    does under one condition: read on the scale of x, the computed test
+    "peak <= x" must differ from the true "max <= x" by less than m(x).
+    It holds with room to spare: Acklam's error is 1.2e-9 |x|, and the
+    rounding of exp, log, ln U / n, the bounds and peak * sigma adds a few
+    1e-16 (|x| + 1).  A prior reaching below _SCREEN_MIN_SIGMA, where
+    peak * sigma can round to a subnormal with an absolute error, is never
+    screened.  So every kept run is the one the quantile alone would keep,
+    and the result is bit for bit the unscreened one.
     """
     threshold = _require_finite("threshold", threshold)
     n = _require_count("n", n)
     trials = _require_count("trials", trials)
+    table = _screen_table(threshold, n, prior)
 
     def block(gen, size):
         sigma = prior.sample(gen, size)
-        peak = std_normal_quantile_log(_log_uniform(gen, size) / n)
-        accepted = peak * sigma <= threshold
-        exceed = (gen.standard_normal(size) * sigma > spec.q0) & accepted
+        accepted = _accepted(_log_uniform(gen, size), sigma, threshold, n, table)
+        extra = gen.standard_normal(size)
+        extra *= sigma
+        exceed = (extra > spec.q0) & accepted
         return int(np.count_nonzero(accepted)), int(np.count_nonzero(exceed))
 
     parts = _map_blocks(stream, trials, block)
@@ -432,8 +544,12 @@ def expected_max_monte_carlo(n: int, sigma: float, trials: int,
         raise DomainError("need at least 2 trials for a standard error")
 
     def block(gen, size):
-        m = std_normal_quantile_log(_log_uniform(gen, size) / n)
-        return _exact_sum(m), _exact_sum(m * m)
+        log_u = _log_uniform(gen, size)
+        log_u /= n
+        m = std_normal_quantile_log(log_u)
+        total = _exact_sum(m)
+        m *= m
+        return total, _exact_sum(m)
 
     parts = _map_blocks(stream, trials, block)
     total = math.fsum(p[0] for p in parts)

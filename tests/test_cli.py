@@ -226,6 +226,19 @@ class TestVerifyCommand:
         assert len(lines) == 2  # failing rows are still printed
         assert lines[1].endswith("false")
 
+    def test_underpowered_rows_do_not_pass(self, capsys, tmp_path):
+        # at p0 = 1e-5, 4 SE at a 2x violation stay above p0 below
+        # 32 (1 - 2 p0) / p0 = 3,199,936 kept runs; 1e5 trials keep fewer
+        job, sched = self._schedule_file(capsys, tmp_path, p0=1e-5, trials=100_000)
+        code, out, err = run_cli(capsys, "verify", "--job", job, "--schedule", str(sched))
+        assert code == EXIT_VERIFY_FAILED
+        lines = out.splitlines()
+        assert len(lines) == 6
+        assert all(line.endswith(",underpowered") for line in lines[1:])
+        assert "row n' = 40 is underpowered" in err
+        assert "3199936 needed" in err
+        assert "0/5 rows passed" in err
+
     def test_empty_schedule_is_input_error(self, capsys, tmp_path):
         job = write_job(tmp_path)
         empty = tmp_path / "empty.csv"

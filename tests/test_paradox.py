@@ -10,6 +10,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import bruteforce
@@ -30,15 +31,22 @@ from threshcal.calibration import (
     threshold_schedule,
 )
 from threshcal.errors import ConfigurationError, DomainError, InfeasibleConditioningError
-from threshcal.gaussian import SeededStream, std_normal_quantile, std_normal_quantile_log
+from threshcal.gaussian import (
+    SeededStream,
+    log_std_normal_cdf,
+    std_normal_quantile,
+    std_normal_quantile_log,
+)
 from threshcal.paradox import (
     _BLOCK_TRIALS,
     EULER_GAMMA,
     DesignScenario,
     SimulationReport,
+    _accepted,
     _exact_sum,
     _log_uniform,
     _map_blocks,
+    _screen_table,
     estimate_conditional_exceedance,
     euler_gamma_partial,
     expected_max,
@@ -226,6 +234,193 @@ class TestEstimateConditionalExceedance:
         with pytest.raises(InfeasibleConditioningError):
             estimate_conditional_exceedance(DEMO, -10.0, 40, DEMO_PRIOR, trials=1_000,
                                             stream=SeededStream(seed=18, stream_index=1))
+
+
+# The acceptance screen of estimate_conditional_exceedance: thresholds of
+# both signs, 0 and within rounding of 0, counts across the whole range,
+# wide, narrow and point priors.  Thresholds whose boundary
+# x = threshold / sigma sits on Acklam's branch switches (Phi(x) = 0.02425
+# and 1 - 0.02425) are given as x, for the point prior's sigma.
+SCREEN_THRESHOLDS = [-0.5, -0.05, -1e-15, 0.0, 1e-13, 0.3, 1.0, 2.0, 50.0]
+SCREEN_COUNTS = [1, 2, 40, 2**20, 2**36]
+SCREEN_PRIORS = {
+    "wide": SigmaPrior.log_uniform(0.01, 10.0),
+    "unit": SigmaPrior.log_uniform(0.01, 1.0),
+    "narrow": SigmaPrior.log_uniform(0.5, 0.6),
+    "point": SigmaPrior.point(0.7),
+}
+BRANCH_SWITCH_X = [std_normal_quantile(0.02425), std_normal_quantile(1.0 - 0.02425)]
+# two blocks, the last one partial
+SCREEN_PLAN = [_BLOCK_TRIALS, 5_000]
+SCREEN_TRIALS = sum(SCREEN_PLAN)
+
+
+def screen_cases(prior_name):
+    """(threshold, n) pairs for one prior of SCREEN_PRIORS."""
+    thresholds = list(SCREEN_THRESHOLDS)
+    if prior_name == "point":
+        thresholds += [x * SCREEN_PRIORS["point"].sigma_lo for x in BRANCH_SWITCH_X]
+    return [(t, n) for t in thresholds for n in SCREEN_COUNTS]
+
+
+def unscreened(threshold, n, prior, stream):
+    """(accepted_runs, estimate) of estimate_conditional_exceedance over
+    SCREEN_TRIALS, with every run decided by the quantile itself; (0, None)
+    without kept runs."""
+    kept = exceed = 0
+    for block, size in enumerate(SCREEN_PLAN):
+        gen = stream.generator(block)
+        sigma = prior.sample(gen, size)
+        peak = std_normal_quantile_log(-gen.standard_exponential(size) / n)
+        accepted = peak * sigma <= threshold
+        kept += int(np.count_nonzero(accepted))
+        exceed += int(np.count_nonzero(
+            accepted & (gen.standard_normal(size) * sigma > DEMO.q0)))
+    return kept, (exceed / kept if kept else None)
+
+
+def screened(threshold, n, prior, stream):
+    try:
+        report = estimate_conditional_exceedance(DEMO, threshold, n, prior, SCREEN_TRIALS,
+                                                 stream)
+    except InfeasibleConditioningError:
+        return 0, None
+    return report.accepted_runs, report.estimate
+
+
+def boundary_trials(threshold, n, prior):
+    """(ln U, sigma) pairs packed around the acceptance boundary.
+
+    The scales are cell edges of the screen, the prior's ends and the
+    floats a few ulps past them (which ln and exp can round a draw to).
+    For each, ln U runs over a grid about n ln Phi(threshold / sigma), in
+    steps of one ulp (the rounding of the test itself), in relative steps
+    of 1e-11 (finer than the gap between Acklam's boundary and the true
+    one) and of 1e-6 (across the margin).
+    """
+    lo, hi = prior.sigma_lo, prior.sigma_hi
+    edges = np.exp(np.linspace(math.log(lo), math.log(hi), paradox._SCREEN_CELLS + 1))
+    ulps = np.arange(4)
+    sigmas = np.concatenate([edges[::16], lo * (1.0 - ulps * 2.0**-53),
+                             hi * (1.0 + ulps * 2.0**-52)])
+    steps = np.concatenate([np.arange(-1000, 1001) * 1e-11, np.arange(-100, 101) * 1e-6])
+    ulps_around = np.arange(-64, 65)
+    log_u, sigma = [], []
+    for s in sigmas.tolist():
+        boundary = n * log_std_normal_cdf(threshold / s)
+        if not -math.inf < boundary < 0.0:
+            continue
+        grid = np.concatenate([boundary * (1.0 + steps),
+                               boundary + ulps_around * np.spacing(boundary)])
+        grid = grid[grid <= -2.0**-100]   # ln U of a draw lies below this
+        log_u.append(grid)
+        sigma.append(np.full(grid.size, s))
+    if not log_u:
+        return np.empty(0), np.empty(0)
+    return np.concatenate(log_u), np.concatenate(sigma)
+
+
+class TestAcceptanceScreen:
+    """The screen decides every run as the quantile test would, bit for bit."""
+
+    @pytest.mark.parametrize("prior_name", SCREEN_PRIORS)
+    def test_matches_unscreened_estimate(self, prior_name):
+        prior = SCREEN_PRIORS[prior_name]
+        stream = SeededStream(seed=51, stream_index=1)
+        mismatches = [(t, n) for t, n in screen_cases(prior_name)
+                      if screened(t, n, prior, stream) != unscreened(t, n, prior, stream)]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("prior_name", SCREEN_PRIORS)
+    def test_matches_quantile_at_the_boundary(self, prior_name):
+        prior = SCREEN_PRIORS[prior_name]
+        mismatches = []
+        for t, n in screen_cases(prior_name):
+            log_u, sigma = boundary_trials(t, n, prior)
+            expected = std_normal_quantile_log(log_u / n) * sigma <= t
+            if not np.array_equal(_accepted(log_u, sigma, t, n, _screen_table(t, n, prior)),
+                                  expected):
+                mismatches.append((t, n))
+        assert mismatches == []
+
+    def test_matches_unscreened_estimate_at_subnormal_scales(self):
+        # peak * sigma rounds to subnormals here, where rounding is absolute
+        prior = SigmaPrior.log_uniform(5e-324, 1e-300)
+        stream = SeededStream(seed=54, stream_index=1)
+        for t in (0.0, 5e-324, -5e-324, 1e-305):
+            for n in (1, 40):
+                assert screened(t, n, prior, stream) == unscreened(t, n, prior, stream)
+
+    @pytest.mark.parametrize("prior_name", SCREEN_PRIORS)
+    def test_quantile_runs_on_under_one_percent(self, prior_name, monkeypatch):
+        prior = SCREEN_PRIORS[prior_name]
+        evaluated = []
+        quantile = paradox.std_normal_quantile_log
+
+        def counting_quantile(log_p):
+            evaluated.append(log_p.size)
+            return quantile(log_p)
+
+        monkeypatch.setattr(paradox, "std_normal_quantile_log", counting_quantile)
+        for t in (-0.05, 0.3, 1.0):
+            evaluated.clear()
+            estimate_conditional_exceedance(DEMO, t, 1, prior, SCREEN_TRIALS,
+                                            SeededStream(seed=52, stream_index=1))
+            assert sum(evaluated) <= 0.01 * SCREEN_TRIALS
+
+
+# tracemalloc peak of one _BLOCK_TRIALS block on one thread, in MiB: the
+# value measured with numpy 2.4 (in parentheses) plus about 10%.
+BLOCK_PEAK_MIB = {
+    "estimate_conditional_exceedance": 1.45,   # (1.32)
+    "estimate_conditional_exceedance-point": 1.45,   # (1.32)
+    "simulate_minimal_effort": 1.17,   # (1.07)
+    "simulate_compliance-fixed_sigma": 0.62,   # (0.57)
+    "simulate_compliance-minimal_effort": 1.94,   # (1.76)
+    "paradox_curve": 0.62,   # (0.57)
+    "expected_max_monte_carlo": 1.39,   # (1.26)
+}
+
+
+def one_block_calls(rule):
+    """Per name of BLOCK_PEAK_MIB, a call that runs one _BLOCK_TRIALS block."""
+    stream = SeededStream(seed=53, stream_index=1)
+
+    def compliance(mode):
+        scenario = DesignScenario(mode=mode, sigma_true=1.0, rule=rule, n_performed=40,
+                                  trials=_BLOCK_TRIALS, stream=stream)
+        return lambda: simulate_compliance(scenario, "schedule")
+
+    def exceedance(prior):
+        return lambda: estimate_conditional_exceedance(DEMO, 1.0, 40, prior,
+                                                       _BLOCK_TRIALS, stream)
+
+    return {
+        "estimate_conditional_exceedance": exceedance(DEMO_PRIOR),
+        "estimate_conditional_exceedance-point": exceedance(SigmaPrior.point(0.3)),
+        "simulate_minimal_effort": lambda: simulate_minimal_effort(40, _BLOCK_TRIALS, stream),
+        "simulate_compliance-fixed_sigma": compliance("fixed_sigma"),
+        "simulate_compliance-minimal_effort": compliance("minimal_effort"),
+        "paradox_curve": lambda: paradox_curve(DEMO, DEMO_PRIOR, 1.0, rule, [40],
+                                               _BLOCK_TRIALS, stream),
+        "expected_max_monte_carlo": lambda: expected_max_monte_carlo(40, 1.0, _BLOCK_TRIALS,
+                                                                     stream),
+    }
+
+
+class TestBlockMemory:
+    @pytest.mark.parametrize("name", BLOCK_PEAK_MIB)
+    def test_block_peak_stays_bounded(self, name, wide_rule, monkeypatch):
+        monkeypatch.setattr(paradox, "_WORKERS", 1)
+        run = one_block_calls(wide_rule)[name]
+        run()   # numpy's first-call allocations are not the block's
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= BLOCK_PEAK_MIB[name] * 2**20
 
 
 class TestExpectedMax:
