@@ -1,15 +1,16 @@
 """Standard-normal primitives, adaptive quadrature, and seeded random streams.
 
 Everything downstream (threshold calibration, Monte Carlo verification) sits
-on the handful of numerically careful routines in this module.  Two
+on the handful of numerically careful routines in this module.  Three
 constraints shape the implementation:
 
 * CDF powers Phi(x)**n are needed for sample sizes up to 1e6, far past the
   point where naive powering underflows, so the log-CDF carries a dedicated
   asymptotic branch in the deep left tail.
 * Simulation results must be bit-reproducible for a fixed seed, so all
-  randomness flows through a counter-based generator keyed by
-  (seed, stream_index, *path).
+  randomness flows through SFC64 generators seeded by a SeedSequence
+  whose spawn key is (stream_index, *path); the spawn key, not the
+  generator, keeps streams independent.
 * Integrals that share a costly factor (the calibration's numerator and
   denominator share the CDF power) are cheapest on shared nodes, so the
   quadrature also takes tuple-valued integrands.
@@ -129,7 +130,11 @@ def log_std_normal_cdf(x: float) -> float:
 
     The series terms fall below 1e-17 by the tenth term once z >= 20.
     """
-    x = _require_finite("x", x)
+    return _log_std_normal_cdf(_require_finite("x", x))
+
+
+def _log_std_normal_cdf(x: float) -> float:
+    """log_std_normal_cdf of a float already known to be finite."""
     if x > 0.0:
         return math.log1p(-0.5 * math.erfc(x * _INV_SQRT2))
     if x > _TAIL_SWITCH:
@@ -178,7 +183,9 @@ def _acklam_tail(q):
     r = 1.0 / q
     num = ((((c[5] * r + c[4]) * r + c[3]) * r + c[2]) * r + c[1]) * r + c[0]
     den = (((r + d[3]) * r + d[2]) * r + d[1]) * r + d[0]
-    return q * num / den
+    num *= q   # in place on arrays: one slice-sized temporary fewer at the peak
+    num /= den
+    return num
 
 
 def _acklam_central(q):
@@ -225,14 +232,35 @@ def std_normal_quantile_log(log_p) -> np.ndarray:
 
 
 def _quantile_log_slice(lp: np.ndarray, out: np.ndarray) -> None:
-    """std_normal_quantile_log of the 1-d array lp, written into out."""
+    """std_normal_quantile_log of the 1-d array lp, written into out.
+
+    The branch most elements take runs on the whole slice: the central one
+    for maxima of a few draws, the upper tail for maxima of many.  The
+    elements of the other branches, found by index, are then overwritten.
+    Every element goes through the same operations as under a three-way
+    mask, so its value is the one that mask would give, and the majority
+    branch needs no gather or scatter.
+    """
     low = lp < _ACK_LOG_P_LOW
     high = lp > _ACK_LOG_P_HIGH
-    mid = ~(low | high)
+    upper = 2 * np.count_nonzero(high) > lp.size
+    whole, rest = (_upper_tail, _central) if upper else (_central, _upper_tail)
+    with np.errstate(all="ignore"):   # values of other branches, overwritten below
+        out[:] = whole(lp)
+    others = np.flatnonzero(~(low | high) if upper else high)
+    low = np.flatnonzero(low)
     with np.errstate(divide="ignore"):
+        out[others] = rest(lp[others])
         out[low] = _acklam_tail(np.sqrt(-2.0 * lp[low]))
-        out[high] = -_acklam_tail(np.sqrt(-2.0 * np.log(-np.expm1(lp[high]))))
-    out[mid] = _acklam_central(np.exp(lp[mid]) - 0.5)
+
+
+def _central(lp: np.ndarray) -> np.ndarray:
+    return _acklam_central(np.exp(lp) - 0.5)
+
+
+def _upper_tail(lp: np.ndarray) -> np.ndarray:
+    """The upper tail by symmetry, with 1 - p = -expm1(lp)."""
+    return -_acklam_tail(np.sqrt(-2.0 * np.log(-np.expm1(lp))))
 
 
 def std_normal_quantile(p: float) -> float:
@@ -470,11 +498,19 @@ class SeededStream:
         return SeededStream(self.seed, self.stream_index, self.path + tuple(int(p) for p in path))
 
     def generator(self, *path: int) -> np.random.Generator:
-        """Counter-based generator for this stream, or a derived substream."""
+        """Generator for this stream, or a derived substream.
+
+        SeedSequence(seed, spawn_key=(stream_index, *path)) hashes the
+        address into SFC64's state, so distinct addresses get independent
+        streams without a keyed (counter-based) generator.  SFC64 draws
+        are cheaper than Philox's (a uniform costs about half), and
+        nothing here jumps or advances a stream, the one thing SFC64
+        cannot do.
+        """
         key = np.random.SeedSequence(entropy=int(self.seed),
                                      spawn_key=(int(self.stream_index), *self.path,
                                                 *map(int, path)))
-        return np.random.Generator(np.random.Philox(key))
+        return np.random.Generator(np.random.SFC64(key))
 
 
 def sample_standard_normal(stream: SeededStream, count: int) -> np.ndarray:

@@ -50,6 +50,7 @@ from .errors import ConfigurationError, DomainError, InfeasibleConditioningError
 from .gaussian import (
     _ARRAY_SLICE,
     SeededStream,
+    _log_std_normal_cdf,
     _require_count,
     _require_counts,
     _require_finite,
@@ -415,8 +416,8 @@ def _screen_table(threshold: float, n: int, prior: SigmaPrior
         x_max = np.maximum(x[:-1], x[1:])
         x_min -= _SCREEN_REL_MARGIN * np.abs(x_min) + _SCREEN_ABS_MARGIN
         x_max += _SCREEN_REL_MARGIN * np.abs(x_max) + _SCREEN_ABS_MARGIN
-        low = np.array([log_std_normal_cdf(v) for v in x_min.tolist()]) * n
-        high = np.array([log_std_normal_cdf(v) for v in x_max.tolist()]) * n
+        low = np.array([_log_std_normal_cdf(v) for v in x_min.tolist()]) * n
+        high = np.array([_log_std_normal_cdf(v) for v in x_max.tolist()]) * n
     scale = cells / (v_hi - v_lo) if cells > 1 else 0.0
     return v_lo, scale, low, high
 

@@ -8,6 +8,7 @@ CDF), never by calling the code under test.
 
 import math
 
+import bruteforce
 import mpmath
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 from threshcal.errors import DomainError, IntegrationError
 from threshcal.gaussian import (
+    _ACK_LOG_P_HIGH,
+    _ACK_LOG_P_LOW,
     _MAX_COUNT,
     _ARRAY_SLICE,
     SeededStream,
@@ -182,6 +185,58 @@ class TestStdNormalQuantileLog:
             assert part.tobytes() == x[start:start + 5_000].tobytes()
         assert std_normal_quantile_log(log_p.reshape(2, -1)).tobytes() == x.tobytes()
         assert std_normal_quantile_log(-1.0).shape == ()
+
+
+class TestQuantileLogMatchesMaskedOracle:
+    """The slice kernel runs its majority branch (central or upper tail) on
+    every element and then overwrites the others; every value must equal
+    the masked evaluation bit for bit."""
+
+    # a central and an upper-tail log-probability, for slices where that
+    # branch is the majority
+    BACKGROUNDS = (math.log(0.5), -1e-3)
+
+    @staticmethod
+    def assert_same_bits(log_p):
+        log_p = np.asarray(log_p, dtype=float)
+        expected = bruteforce.masked_quantile_log(log_p)
+        assert std_normal_quantile_log(log_p).tobytes() == expected.tobytes()
+        whole = np.empty_like(log_p)
+        _quantile_log_slice(log_p, whole)
+        assert whole.tobytes() == expected.tobytes()
+
+    def assert_same_bits_in_both_majorities(self, points):
+        self.assert_same_bits(points)
+        for background in self.BACKGROUNDS:
+            log_p = np.full(1_000, background)
+            log_p[::97] = np.resize(points, log_p[::97].size)
+            self.assert_same_bits(log_p)
+
+    @pytest.mark.parametrize("n", [1, 2, 32, 640, 2**20])
+    def test_maxima_of_n_draws(self, n):
+        # ln U / n is the log-probability the Monte Carlo kernels invert
+        rng = np.random.default_rng(n)
+        self.assert_same_bits(np.log(rng.random(3 * _ARRAY_SLICE + 77)) / n)
+
+    def test_ends_and_extremes(self):
+        self.assert_same_bits_in_both_majorities(
+            [-np.inf, 0.0, -0.0, -1e-300, -5e-324, -1e300])
+
+    def test_branch_boundaries_and_neighbours(self):
+        edges = []
+        for edge in (_ACK_LOG_P_LOW, _ACK_LOG_P_HIGH):
+            below = np.nextafter(edge, -np.inf)
+            above = np.nextafter(edge, np.inf)
+            edges += [np.nextafter(below, -np.inf), below, edge, above,
+                      np.nextafter(above, np.inf)]
+        self.assert_same_bits_in_both_majorities(edges)
+
+    @pytest.mark.parametrize("upper", [499, 500, 501])
+    def test_either_side_of_the_majority_switch(self, upper):
+        log_p = np.full(1_000, math.log(0.5))
+        log_p[:upper] = -1e-3
+        log_p[-50:] = -10.0
+        self.assert_same_bits(np.random.default_rng(upper).permutation(log_p))
 
 
 class TestLogCdfPower:
@@ -401,6 +456,30 @@ class TestSeededStream:
     def test_rejects_bad_count(self):
         with pytest.raises(DomainError):
             sample_standard_normal(SeededStream(seed=0), 0)
+
+
+class TestStreamContract:
+    """The draws a stream address gives are part of the output format."""
+
+    @pytest.mark.parametrize("seed,index,path,sub", [
+        (0, 0, (), ()), (42, 3, (), (7,)), (2**64 - 1, 4, (2, 5), (0,)), (91, 1, (4,), (1, 2)),
+    ])
+    def test_generator_is_sfc64_on_the_spawn_key(self, seed, index, path, sub):
+        rng = SeededStream(seed, index, path).generator(*sub)
+        key = np.random.SeedSequence(seed, spawn_key=(index, *path, *sub))
+        by_hand = np.random.Generator(np.random.SFC64(key))
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+        assert rng.random(64).tobytes() == by_hand.random(64).tobytes()
+        assert rng.standard_exponential(64).tobytes() == by_hand.standard_exponential(64).tobytes()
+        assert rng.standard_normal(64).tobytes() == by_hand.standard_normal(64).tobytes()
+
+    def test_blocks_of_one_stream_are_uncorrelated(self):
+        stream = SeededStream(seed=5, stream_index=1).child(3)
+        u = np.array([stream.generator(b).random(4096) for b in range(64)])
+        assert np.unique(u[:, 0]).size == 64
+        corr = np.corrcoef(u)
+        off_diagonal = corr[~np.eye(64, dtype=bool)]
+        assert np.max(np.abs(off_diagonal)) <= 5.0 / math.sqrt(4096)
 
 
 @settings(max_examples=200)
