@@ -35,7 +35,6 @@ from .gaussian import (
     integrate,
     log_cdf_power,
     log_std_normal_cdf,
-    sample_standard_normal,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -95,7 +94,6 @@ __all__ = [
     "marginal_exceedance",
     "next_exceeds_max_probability",
     "paradox_curve",
-    "sample_standard_normal",
     "simulate_compliance",
     "simulate_minimal_effort",
     "std_normal_cdf",

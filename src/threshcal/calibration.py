@@ -58,6 +58,7 @@ _LOG_UNDERFLOW_FLOOR = math.log(1e-300)
 _MAX_EXPANSIONS = 64
 _MAX_CONTRACTIONS = 200
 _MAX_BISECTIONS = 200
+_STOP_REASONS = ("capped", "tol", "resolution", "bisection_cap")
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,21 @@ class StandardRule:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Calibrated threshold plus solver diagnostics."""
+    """Calibrated threshold plus solver diagnostics.
+
+    capped is True when cap_at_q0 was asked for and q0 itself is feasible
+    (its exceedance is at most p0): the threshold is then q0, achieved is
+    the exceedance at q0, and no root was searched for, so iterations is 0
+    and uncapped_threshold is nan.  The one exception is a point prior,
+    whose uncapped solution is known without a search: inf, because the
+    constraint holds at every threshold.  Otherwise uncapped_threshold
+    equals threshold.
+
+    stop_reason says why the search ended: "capped" (as above), "tol" (a
+    feasible midpoint came within tol of p0), "resolution" (the bracket
+    shrank to 1e-9 * q0) or "bisection_cap" (the bisection step limit was
+    reached first).
+    """
 
     threshold: float
     achieved: float
@@ -167,6 +182,7 @@ class CalibrationResult:
     bracket: tuple[float, float]
     capped: bool
     uncapped_threshold: float
+    stop_reason: str = "tol"
 
     def __post_init__(self):
         if not 0.0 <= self.achieved <= 1.0:
@@ -177,6 +193,10 @@ class CalibrationResult:
         if not lo <= self.threshold <= hi:
             raise DomainError(
                 f"threshold {self.threshold} outside bracket [{lo}, {hi}]")
+        if self.stop_reason not in _STOP_REASONS:
+            raise DomainError(
+                f"stop_reason must be one of {', '.join(_STOP_REASONS)}, "
+                f"got {self.stop_reason!r}")
 
 
 @dataclass(frozen=True)
@@ -277,18 +297,21 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
                         cap_at_q0: bool = True, tol: float = 1e-4) -> CalibrationResult:
     """Largest test threshold whose conditional exceedance stays within p0.
 
-    Root-finding is bisection on the rising branch of the threshold map,
-    anchored at q0: the bracket expands upward by doubling while the
-    exceedance at the top is still below p0, or contracts downward by
-    halving while it is above.  Bisection stops at threshold resolution
-    1e-9 * q0, or at the first midpoint whose exceedance lies within tol
-    below p0 (tol is an absolute probability), whichever comes first.  The
-    result is always the feasible end of the bracket, so achieved <= p0.
+    With cap_at_q0, the published threshold is min(root, q0), so the answer
+    is known as soon as q0 is feasible: the result is then threshold q0,
+    capped = True, stop_reason "capped", 0 iterations and bracket (q0, q0),
+    and the root above q0 is not searched for (uncapped_threshold is nan;
+    under a point prior it is inf, see CalibrationResult).  Ask for it with
+    cap_at_q0=False.
 
-    With cap_at_q0, a solution above q0 is reported as threshold q0 with
-    capped = True; the uncapped solution stays available in
-    uncapped_threshold (inf when the constraint holds at every threshold,
-    as under a compatible point prior).
+    Otherwise root-finding is bisection on the rising branch of the
+    threshold map, anchored at q0: the bracket expands upward by doubling
+    while the exceedance at the top is still below p0, or contracts
+    downward by halving while it is above.  Bisection stops at threshold
+    resolution 1e-9 * q0, at the first midpoint whose exceedance lies
+    within tol below p0 (tol is an absolute probability), or after
+    _MAX_BISECTIONS steps, whichever comes first; stop_reason names which.
+    The result is always the feasible end of the bracket, so achieved <= p0.
     """
     n = _require_count("n", n)
     tol = _require_finite("tol", tol)
@@ -296,10 +319,10 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
         raise DomainError(f"tol must lie in (0, 1), got {tol!r}")
     resolution = 1e-9 * spec.q0
 
-    def capped(achieved: float, iterations: int = 0, uncapped: float = math.inf):
-        return CalibrationResult(threshold=spec.q0, achieved=achieved, iterations=iterations,
+    def capped(achieved: float, uncapped: float) -> CalibrationResult:
+        return CalibrationResult(threshold=spec.q0, achieved=achieved, iterations=0,
                                  bracket=(spec.q0, spec.q0), capped=True,
-                                 uncapped_threshold=uncapped)
+                                 uncapped_threshold=uncapped, stop_reason="capped")
 
     marg_lo = marginal_exceedance(spec, prior.sigma_lo)
     if marg_lo > spec.p0:
@@ -311,13 +334,15 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     if prior.kind == "point":
         # Conditioning is vacuous: the constraint holds at every threshold.
         if cap_at_q0:
-            return capped(marg_lo)
+            return capped(marg_lo, math.inf)
         raise SolverError(
             "the exceedance constraint holds at every threshold under this point "
             "prior; there is no finite uncapped solution (enable cap_at_q0)")
 
     ce_q0 = conditional_exceedance(spec, spec.q0, n, prior)
     if ce_q0 <= spec.p0:
+        if cap_at_q0:
+            return capped(ce_q0, math.nan)
         lo, ce_lo = spec.q0, ce_q0
         hi = None
         trial = 2.0 * spec.q0
@@ -329,8 +354,6 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             lo, ce_lo = trial, ce_trial
             trial *= 2.0
         if hi is None:
-            if cap_at_q0:
-                return capped(ce_q0)
             raise SolverError(
                 f"bracket expansion failed: conditional exceedance stayed below "
                 f"p0 = {spec.p0} up to threshold {lo}")
@@ -355,22 +378,24 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
                 f"sigma_hi = {prior.sigma_hi} is too heavy for n = {n}")
 
     iterations = 0
-    best, best_ce = lo, ce_lo
-    while hi - lo > resolution and iterations < _MAX_BISECTIONS:
+    stop_reason = "resolution"
+    while hi - lo > resolution:
+        if iterations == _MAX_BISECTIONS:
+            stop_reason = "bisection_cap"
+            break
         mid = 0.5 * (lo + hi)
         ce_mid = conditional_exceedance(spec, mid, n, prior)
         iterations += 1
-        if ce_mid <= spec.p0:
-            lo, best, best_ce = mid, mid, ce_mid
-        else:
+        if ce_mid > spec.p0:
             hi = mid
-        if ce_mid <= spec.p0 and spec.p0 - ce_mid <= tol:
+            continue
+        lo, ce_lo = mid, ce_mid
+        if spec.p0 - ce_mid <= tol:
+            stop_reason = "tol"
             break
-
-    if cap_at_q0 and best > spec.q0:
-        return capped(ce_q0, iterations, best)
-    return CalibrationResult(threshold=best, achieved=best_ce, iterations=iterations,
-                             bracket=(lo, hi), capped=False, uncapped_threshold=best)
+    return CalibrationResult(threshold=lo, achieved=ce_lo, iterations=iterations,
+                             bracket=(lo, hi), capped=False, uncapped_threshold=lo,
+                             stop_reason=stop_reason)
 
 
 def calibrate_schedule(spec: SafetySpec, prior: SigmaPrior, n_list: Sequence[int],

@@ -216,13 +216,28 @@ def _flag(value: bool) -> str:
 
 
 def cmd_calibrate(job: JobSpec) -> tuple[int, str]:
-    """Single calibration at the required count."""
+    """Single calibration at the required count.
+
+    A capped calibration does not search for the root above q0 (its
+    uncapped_threshold is nan), so for such a row the uncapped_threshold
+    and iterations columns come from a second, uncapped calibration: its
+    threshold and bisection steps, or inf and 0 when the exceedance stays
+    below p0 at every threshold the search tries.
+    """
     result = calibrate_threshold(job.spec, job.n_required, job.prior,
                                  cap_at_q0=job.cap_at_q0, tol=job.tol)
+    iterations, uncapped = result.iterations, result.uncapped_threshold
+    if math.isnan(uncapped):
+        try:
+            root = calibrate_threshold(job.spec, job.n_required, job.prior,
+                                       cap_at_q0=False, tol=job.tol)
+            iterations, uncapped = root.iterations, root.threshold
+        except SolverError:
+            iterations, uncapped = 0, math.inf
     rows = [["threshold", "achieved", "capped", "iterations",
              "uncapped_threshold", "bracket_lo", "bracket_hi"],
             [_fmt(result.threshold), _fmt(result.achieved), _flag(result.capped),
-             str(result.iterations), _fmt(result.uncapped_threshold),
+             str(iterations), _fmt(uncapped),
              _fmt(result.bracket[0]), _fmt(result.bracket[1])]]
     return EXIT_OK, _csv(rows)
 

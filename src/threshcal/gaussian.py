@@ -512,8 +512,3 @@ class SeededStream:
                                                 *map(int, path)))
         return np.random.Generator(np.random.SFC64(key))
 
-
-def sample_standard_normal(stream: SeededStream, count: int) -> np.ndarray:
-    """count independent standard-normal variates, bit-reproducible per stream."""
-    count = _require_count("count", count)
-    return stream.generator().standard_normal(count)

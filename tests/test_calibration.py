@@ -17,9 +17,10 @@ import mpmath
 import numpy as np
 import pytest
 import two_integral_ce
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threshcal import calibration
 from threshcal.calibration import (
     CalibrationResult,
     ComplianceDecision,
@@ -261,9 +262,12 @@ class TestCalibrateThreshold:
         result = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=True)
         assert result.capped is True
         assert result.threshold == DEMO.q0
-        # default tol=1e-4 lets bisection stop early, so allow the
-        # probability tolerance translated through the local CE slope
-        assert result.uncapped_threshold == pytest.approx(1.799742, abs=0.02)
+        # a capped result does not search for the root above q0; the
+        # uncapped call does.  Default tol=1e-4 lets bisection stop early,
+        # so allow the probability tolerance translated through the local
+        # CE slope
+        uncapped = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=False)
+        assert uncapped.threshold == pytest.approx(1.799742, abs=0.02)
         assert result.achieved < DEMO.p0
 
     def test_heavy_tail_prior_is_infeasible(self):
@@ -297,6 +301,100 @@ class TestCalibrateThreshold:
         assert result.threshold == 0.5625
         assert 0.0 < result.achieved <= spec.p0
         assert result.bracket[0] == result.threshold
+
+
+class TestStopReason:
+    def test_capped(self):
+        result = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=True)
+        assert result.stop_reason == "capped"
+        assert result.capped is True
+        assert (result.threshold, result.iterations, result.bracket) == (DEMO.q0, 0, (1.0, 1.0))
+        assert math.isnan(result.uncapped_threshold)
+
+    def test_point_prior_is_capped_with_a_known_uncapped_solution(self):
+        sigma = DEMO.q0 / std_normal_quantile(1.0 - 0.005)
+        result = calibrate_threshold(DEMO, 40, SigmaPrior.point(sigma))
+        assert result.stop_reason == "capped"
+        assert result.uncapped_threshold == math.inf
+
+    def test_tol(self):
+        spec = SafetySpec(q0=1.0, p0=1e-5)
+        result = calibrate_threshold(spec, 80, DEMO_PRIOR, cap_at_q0=False)
+        assert result.stop_reason == "tol"
+        assert spec.p0 - result.achieved <= 1e-4
+
+    def test_resolution(self):
+        result = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=False, tol=1e-15)
+        assert result.stop_reason == "resolution"
+        assert result.bracket[1] - result.bracket[0] <= 1e-9 * DEMO.q0
+        assert result.threshold == result.uncapped_threshold
+
+    def test_bisection_cap(self, monkeypatch):
+        monkeypatch.setattr(calibration, "_MAX_BISECTIONS", 3)
+        result = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=False, tol=1e-15)
+        assert result.stop_reason == "bisection_cap"
+        assert result.iterations == 3
+        assert result.achieved <= DEMO.p0
+        assert result.bracket[1] - result.bracket[0] > 1e-9 * DEMO.q0
+
+    def test_default_and_validation(self):
+        result = CalibrationResult(threshold=1.0, achieved=0.01, iterations=1,
+                                   bracket=(1.0, 2.0), capped=False, uncapped_threshold=1.0)
+        assert result.stop_reason == "tol"
+        with pytest.raises(DomainError):
+            CalibrationResult(threshold=1.0, achieved=0.01, iterations=1, bracket=(1.0, 2.0),
+                              capped=False, uncapped_threshold=1.0, stop_reason="gave_up")
+
+
+class TestCappedShortcut:
+    """A capped row needs only ce(q0): the root above q0 is never published."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = []
+        real = calibration.conditional_exceedance
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "conditional_exceedance", counting)
+        return calls
+
+    def test_capped_row_makes_one_call(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        result = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=True)
+        assert result.capped is True
+        assert calls == [(DEMO, DEMO.q0, 40, DEMO_PRIOR)]
+
+    def test_capped_schedule_makes_one_call_per_row(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        counts = [40, 80, 160, 320, 640]
+        _, results = calibrate_schedule(DEMO, DEMO_PRIOR, counts, cap_at_q0=True)
+        assert all(r.capped for r in results)
+        assert len(calls) == len(counts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p0=st.floats(1e-6, 0.2), n=st.integers(1, 2**20))
+    def test_capped_rows_hold_and_match_the_uncapped_root(self, p0, n):
+        spec = SafetySpec(q0=1.0, p0=p0)
+        try:
+            capped = calibrate_threshold(spec, n, DEMO_PRIOR, cap_at_q0=True)
+        except InfeasibilityError:
+            with pytest.raises(InfeasibilityError):
+                calibrate_threshold(spec, n, DEMO_PRIOR, cap_at_q0=False)
+            return
+        try:
+            uncapped = calibrate_threshold(spec, n, DEMO_PRIOR, cap_at_q0=False)
+        except SolverError:     # the constraint held at every threshold tried
+            uncapped = None
+        if capped.capped:
+            assert capped.achieved == conditional_exceedance(spec, spec.q0, n, DEMO_PRIOR)
+            assert capped.achieved <= p0
+            assert uncapped is None or uncapped.threshold >= spec.q0
+        else:
+            assert capped == uncapped
+            assert capped.threshold < spec.q0
 
 
 class TestThresholdSchedule:

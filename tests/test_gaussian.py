@@ -30,7 +30,6 @@ from threshcal.gaussian import (
     integrate,
     log_cdf_power,
     log_std_normal_cdf,
-    sample_standard_normal,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -428,13 +427,13 @@ class TestIntegrateVector:
 
 class TestSeededStream:
     def test_identical_streams_identical_draws(self):
-        a = sample_standard_normal(SeededStream(seed=42, stream_index=3), 1000)
-        b = sample_standard_normal(SeededStream(seed=42, stream_index=3), 1000)
+        a = SeededStream(seed=42, stream_index=3).generator().standard_normal(1000)
+        b = SeededStream(seed=42, stream_index=3).generator().standard_normal(1000)
         assert np.array_equal(a, b)
 
     def test_distinct_stream_indices_differ(self):
-        a = sample_standard_normal(SeededStream(seed=42, stream_index=0), 1000)
-        b = sample_standard_normal(SeededStream(seed=42, stream_index=1), 1000)
+        a = SeededStream(seed=42, stream_index=0).generator().standard_normal(1000)
+        b = SeededStream(seed=42, stream_index=1).generator().standard_normal(1000)
         assert not np.array_equal(a, b)
 
     def test_derived_paths_differ_from_root(self):
@@ -443,19 +442,10 @@ class TestSeededStream:
         sub = s.generator(0).standard_normal(8)
         assert not np.array_equal(root, sub)
 
-    def test_moments_of_large_sample(self):
-        draws = sample_standard_normal(SeededStream(seed=123, stream_index=0), 10**6)
-        assert abs(draws.mean()) <= 4.0 / math.sqrt(10**6)
-        assert abs(draws.var() - 1.0) <= 0.01
-
     @pytest.mark.parametrize("seed,index", [(-1, 0), (2**64, 0), (0, -1), (1.5, 0), (0, 0.5)])
     def test_rejects_bad_addresses(self, seed, index):
         with pytest.raises(DomainError):
             SeededStream(seed=seed, stream_index=index)
-
-    def test_rejects_bad_count(self):
-        with pytest.raises(DomainError):
-            sample_standard_normal(SeededStream(seed=0), 0)
 
 
 class TestStreamContract:
