@@ -48,7 +48,6 @@ from .paradox import (
     SimulationReport,
     estimate_conditional_exceedance,
     euler_gamma_partial,
-    expected_max,
     expected_max_asymptotic,
     expected_max_exact,
     expected_max_monte_carlo,
@@ -84,7 +83,6 @@ __all__ = [
     "estimate_conditional_exceedance",
     "euler_gamma_partial",
     "evaluate_compliance",
-    "expected_max",
     "expected_max_asymptotic",
     "expected_max_exact",
     "expected_max_monte_carlo",

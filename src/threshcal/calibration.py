@@ -16,7 +16,7 @@ p0, and a standard publishes t as a function of the measurement count.
 
 Numerically, each exceedance is a ratio of two integrals over ln(sigma)
 that share the acceptance weight Phi(t/sigma)**n.  They are computed as
-one tuple-valued adaptive quadrature, so both see the same nodes and each
+one pair-valued adaptive quadrature, so both see the same nodes and each
 node's weight is computed once.  Calibration bisects on that ratio and
 only ever returns a threshold whose computed exceedance is at most p0.
 """
@@ -162,27 +162,24 @@ class StandardRule:
 class CalibrationResult:
     """Calibrated threshold plus solver diagnostics.
 
-    capped is True when cap_at_q0 was asked for and q0 itself is feasible
-    (its exceedance is at most p0): the threshold is then q0, achieved is
-    the exceedance at q0, and no root was searched for, so iterations is 0
-    and uncapped_threshold is nan.  The one exception is a point prior,
-    whose uncapped solution is known without a search: inf, because the
-    constraint holds at every threshold.  Otherwise uncapped_threshold
-    equals threshold.
-
-    stop_reason says why the search ended: "capped" (as above), "tol" (a
-    feasible midpoint came within tol of p0), "resolution" (the bracket
-    shrank to 1e-9 * q0) or "bisection_cap" (the bisection step limit was
-    reached first).
+    stop_reason says why the search ended: "capped" (cap_at_q0 was asked
+    for and q0 itself is feasible, so the threshold is q0, achieved is the
+    exceedance at q0, and no root was searched for: iterations is 0 and
+    the bracket is (q0, q0)), "tol" (a feasible midpoint came within tol
+    of p0), "resolution" (the bracket shrank to 1e-9 * q0) or
+    "bisection_cap" (the bisection step limit was reached first).
     """
 
     threshold: float
     achieved: float
     iterations: int
     bracket: tuple[float, float]
-    capped: bool
-    uncapped_threshold: float
-    stop_reason: str = "tol"
+    stop_reason: str
+
+    @property
+    def capped(self) -> bool:
+        """True when the threshold is q0 because q0 itself is feasible."""
+        return self.stop_reason == "capped"
 
     def __post_init__(self):
         if not 0.0 <= self.achieved <= 1.0:
@@ -299,10 +296,10 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
 
     With cap_at_q0, the published threshold is min(root, q0), so the answer
     is known as soon as q0 is feasible: the result is then threshold q0,
-    capped = True, stop_reason "capped", 0 iterations and bracket (q0, q0),
-    and the root above q0 is not searched for (uncapped_threshold is nan;
-    under a point prior it is inf, see CalibrationResult).  Ask for it with
-    cap_at_q0=False.
+    stop_reason "capped", 0 iterations and bracket (q0, q0), and the root
+    above q0 is not searched for.  Ask for it with cap_at_q0=False; that
+    raises SolverError where the constraint holds at every threshold tried
+    (always, under a point prior).
 
     Otherwise root-finding is bisection on the rising branch of the
     threshold map, anchored at q0: the bracket expands upward by doubling
@@ -319,10 +316,9 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
         raise DomainError(f"tol must lie in (0, 1), got {tol!r}")
     resolution = 1e-9 * spec.q0
 
-    def capped(achieved: float, uncapped: float) -> CalibrationResult:
+    def capped(achieved: float) -> CalibrationResult:
         return CalibrationResult(threshold=spec.q0, achieved=achieved, iterations=0,
-                                 bracket=(spec.q0, spec.q0), capped=True,
-                                 uncapped_threshold=uncapped, stop_reason="capped")
+                                 bracket=(spec.q0, spec.q0), stop_reason="capped")
 
     marg_lo = marginal_exceedance(spec, prior.sigma_lo)
     if marg_lo > spec.p0:
@@ -334,7 +330,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     if prior.kind == "point":
         # Conditioning is vacuous: the constraint holds at every threshold.
         if cap_at_q0:
-            return capped(marg_lo, math.inf)
+            return capped(marg_lo)
         raise SolverError(
             "the exceedance constraint holds at every threshold under this point "
             "prior; there is no finite uncapped solution (enable cap_at_q0)")
@@ -342,7 +338,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     ce_q0 = conditional_exceedance(spec, spec.q0, n, prior)
     if ce_q0 <= spec.p0:
         if cap_at_q0:
-            return capped(ce_q0, math.nan)
+            return capped(ce_q0)
         lo, ce_lo = spec.q0, ce_q0
         hi = None
         trial = 2.0 * spec.q0
@@ -394,8 +390,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             stop_reason = "tol"
             break
     return CalibrationResult(threshold=lo, achieved=ce_lo, iterations=iterations,
-                             bracket=(lo, hi), capped=False, uncapped_threshold=lo,
-                             stop_reason=stop_reason)
+                             bracket=(lo, hi), stop_reason=stop_reason)
 
 
 def calibrate_schedule(spec: SafetySpec, prior: SigmaPrior, n_list: Sequence[int],

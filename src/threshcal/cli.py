@@ -79,7 +79,6 @@ from .gaussian import (
 )
 from .paradox import (
     estimate_conditional_exceedance,
-    expected_max,
     expected_max_asymptotic,
     expected_max_exact,
     expected_max_monte_carlo,
@@ -218,16 +217,16 @@ def _flag(value: bool) -> str:
 def cmd_calibrate(job: JobSpec) -> tuple[int, str]:
     """Single calibration at the required count.
 
-    A capped calibration does not search for the root above q0 (its
-    uncapped_threshold is nan), so for such a row the uncapped_threshold
-    and iterations columns come from a second, uncapped calibration: its
-    threshold and bisection steps, or inf and 0 when the exceedance stays
-    below p0 at every threshold the search tries.
+    A capped calibration does not search for the root above q0, so for a
+    capped row the uncapped_threshold and iterations columns come from a
+    second, uncapped calibration: its threshold and bisection steps, or
+    inf and 0 when it raises SolverError because the exceedance stays
+    below p0 at every threshold (always, under a point prior).
     """
     result = calibrate_threshold(job.spec, job.n_required, job.prior,
                                  cap_at_q0=job.cap_at_q0, tol=job.tol)
-    iterations, uncapped = result.iterations, result.uncapped_threshold
-    if math.isnan(uncapped):
+    iterations, uncapped = result.iterations, result.threshold
+    if result.capped:
         try:
             root = calibrate_threshold(job.spec, job.n_required, job.prior,
                                        cap_at_q0=False, tol=job.tol)
@@ -349,8 +348,12 @@ def cmd_expected_max(n: int, sigma: float, method: str, trials: int,
                      seed: int) -> tuple[int, str]:
     """Expected-maximum estimates; method 'all' compares the three routes."""
     stream = SeededStream(seed=seed, stream_index=STREAM_EXPECTED_MAX)
-    if method != "all":
-        return EXIT_OK, _fmt(expected_max(n, sigma, method, trials, stream)) + "\n"
+    if method == "asymptotic":
+        return EXIT_OK, _fmt(expected_max_asymptotic(n, sigma)) + "\n"
+    if method == "exact":
+        return EXIT_OK, _fmt(expected_max_exact(n, sigma)) + "\n"
+    if method == "monte_carlo":
+        return EXIT_OK, _fmt(expected_max_monte_carlo(n, sigma, trials, stream)[0]) + "\n"
     asym = expected_max_asymptotic(n, sigma)
     exact = expected_max_exact(n, sigma)
     mc_mean, mc_se = expected_max_monte_carlo(n, sigma, trials, stream)

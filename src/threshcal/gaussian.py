@@ -13,7 +13,7 @@ constraints shape the implementation:
   generator, keeps streams independent.
 * Integrals that share a costly factor (the calibration's numerator and
   denominator share the CDF power) are cheapest on shared nodes, so the
-  quadrature also takes tuple-valued integrands.
+  quadrature also takes pair-valued integrands.
 """
 
 from __future__ import annotations
@@ -349,9 +349,12 @@ def _pair_panel(values: list, h: float) -> tuple[tuple, tuple]:
     return (wi, ui), (we, ue)
 
 
-def _vector_panel(values: list, h: float) -> tuple[tuple, tuple]:
-    seg_i, seg_e = zip(*[_gk15_rule(column, h) for column in zip(*values, strict=True)])
-    return seg_i, seg_e
+def _is_pair(value) -> bool:
+    """Whether an integrand value is a pair; a tuple of another width is refused."""
+    if isinstance(value, tuple) and len(value) != 2:
+        raise DomainError("integrand must return a float or a pair, "
+                          f"got a tuple of width {len(value)}")
+    return isinstance(value, tuple)
 
 
 def integrate(f: Callable, lo: float, hi: float,
@@ -366,18 +369,19 @@ def integrate(f: Callable, lo: float, hi: float,
     is given).  The refinement order is fixed, so identical inputs always
     produce the identical result.
 
-    f may return a float or a tuple of floats; its value at the first node
-    (the center of the first panel) sets the shape, and the result has the
-    same shape.  The components of a tuple-valued f share one partition
-    and one evaluation budget, so every node is evaluated once for all of
-    them.  Refinement runs until every component meets its own tolerance,
-    and the panel split next is the one with the largest error measured in
-    units of each component's tolerance on the initial grid.  For a scalar
+    f may return a float or a pair of floats (a tuple of any other width
+    raises DomainError); its value at the first node (the center of the
+    first panel) sets the shape, and the result has the same shape.  The
+    two components of a pair-valued f share one partition and one
+    evaluation budget, so every node is evaluated once for both.
+    Refinement runs until each component meets its own tolerance, and the
+    panel split next is the one with the largest error measured in units
+    of each component's tolerance on the initial grid.  For a scalar
     f that is the raw error, so scalar results keep the refinement order
     and the value they always had.
 
     Raises IntegrationError, carrying the best estimate and its error
-    bound (tuples for a tuple-valued f), if the evaluation budget runs out
+    bound (pairs for a pair-valued f), if the evaluation budget runs out
     first.  The budget gates subdivision; the initial grid is always
     evaluated.
     """
@@ -386,17 +390,16 @@ def integrate(f: Callable, lo: float, hi: float,
     if lo > hi:
         raise DomainError(f"lo must be <= hi, got [{lo}, {hi}]")
     if lo == hi:
-        first = f(lo)
-        return tuple(0.0 for _ in first) if isinstance(first, tuple) else 0.0
+        return (0.0, 0.0) if _is_pair(f(lo)) else 0.0
     if not rel_tol > 0.0:
         raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
 
     edges = [lo + (hi - lo) * k / _INITIAL_PANELS for k in range(_INITIAL_PANELS)] + [hi]
     spans = [(a, b) for a, b in zip(edges, edges[1:]) if a != b]
     h, values = _gk15_nodes(f, *spans[0])
-    vector = isinstance(values[0], tuple)
-    width = len(values[0]) if vector else 1
-    rule = _pair_panel if width == 2 else _vector_panel if vector else _scalar_panel
+    vector = _is_pair(values[0])
+    width = 2 if vector else 1
+    rule = _pair_panel if vector else _scalar_panel
 
     def shaped(components: list):
         return tuple(components) if vector else components[0]

@@ -111,7 +111,6 @@ _SCREEN_MIN_SIGMA = 2.0 ** -900
 
 _MODES = ("fixed_sigma", "minimal_effort")
 _RULE_KINDS = ("fixed_threshold", "schedule")
-_EXPECTED_MAX_METHODS = ("asymptotic", "exact", "monte_carlo")
 
 
 @dataclass(frozen=True)
@@ -558,26 +557,6 @@ def expected_max_monte_carlo(n: int, sigma: float, trials: int,
     mean = total / trials
     var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
     return sigma * mean, sigma * math.sqrt(var / trials)
-
-
-def expected_max(n: int, sigma: float = 1.0, method: str = "exact",
-                 trials: int = 100_000, stream: SeededStream | None = None) -> float:
-    """Average value of the maximum of n draws at scale sigma.
-
-    method "asymptotic" evaluates the gamma-prefactor shorthand, "exact"
-    integrates the order-statistic density, "monte_carlo" averages seeded
-    per-trial maxima (the standard error is available through
-    expected_max_monte_carlo).
-    """
-    if method not in _EXPECTED_MAX_METHODS:
-        raise DomainError(f"method must be one of {_EXPECTED_MAX_METHODS}, got {method!r}")
-    if method == "asymptotic":
-        return expected_max_asymptotic(n, sigma)
-    if method == "exact":
-        return expected_max_exact(n, sigma)
-    if stream is None:
-        raise DomainError("method 'monte_carlo' needs a SeededStream")
-    return expected_max_monte_carlo(n, sigma, trials, stream)[0]
 
 
 def euler_gamma_partial(n: int) -> float:

@@ -11,6 +11,7 @@ Oracles used here are independent of the implementation path:
 """
 
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -230,7 +231,6 @@ class TestCalibrateThreshold:
         assert result.capped is True
         assert result.threshold == DEMO.q0
         assert result.achieved == pytest.approx(0.005, abs=1e-12)
-        assert result.uncapped_threshold == math.inf
 
     def test_point_prior_violating_is_infeasible(self):
         sigma = DEMO.q0 / std_normal_quantile(1.0 - 0.05)  # marginal = 0.05 > p0
@@ -291,9 +291,6 @@ class TestCalibrateThreshold:
             result = calibrate_threshold(spec, n, DEMO_PRIOR, cap_at_q0=cap)
             assert result.achieved <= p0, n
             assert conditional_exceedance(spec, result.threshold, n, DEMO_PRIOR) <= p0, n
-            if math.isfinite(result.uncapped_threshold):
-                assert conditional_exceedance(
-                    spec, result.uncapped_threshold, n, DEMO_PRIOR) <= p0, n
 
     def test_tol_exit_stops_on_the_feasible_side(self):
         spec = SafetySpec(q0=1.0, p0=1e-5)
@@ -309,13 +306,14 @@ class TestStopReason:
         assert result.stop_reason == "capped"
         assert result.capped is True
         assert (result.threshold, result.iterations, result.bracket) == (DEMO.q0, 0, (1.0, 1.0))
-        assert math.isnan(result.uncapped_threshold)
 
     def test_point_prior_is_capped_with_a_known_uncapped_solution(self):
         sigma = DEMO.q0 / std_normal_quantile(1.0 - 0.005)
         result = calibrate_threshold(DEMO, 40, SigmaPrior.point(sigma))
         assert result.stop_reason == "capped"
-        assert result.uncapped_threshold == math.inf
+        # the known uncapped solution is "every threshold": no finite root
+        with pytest.raises(SolverError):
+            calibrate_threshold(DEMO, 40, SigmaPrior.point(sigma), cap_at_q0=False)
 
     def test_tol(self):
         spec = SafetySpec(q0=1.0, p0=1e-5)
@@ -327,7 +325,7 @@ class TestStopReason:
         result = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=False, tol=1e-15)
         assert result.stop_reason == "resolution"
         assert result.bracket[1] - result.bracket[0] <= 1e-9 * DEMO.q0
-        assert result.threshold == result.uncapped_threshold
+        assert result.capped is False
 
     def test_bisection_cap(self, monkeypatch):
         monkeypatch.setattr(calibration, "_MAX_BISECTIONS", 3)
@@ -338,12 +336,12 @@ class TestStopReason:
         assert result.bracket[1] - result.bracket[0] > 1e-9 * DEMO.q0
 
     def test_default_and_validation(self):
-        result = CalibrationResult(threshold=1.0, achieved=0.01, iterations=1,
-                                   bracket=(1.0, 2.0), capped=False, uncapped_threshold=1.0)
-        assert result.stop_reason == "tol"
+        # stop_reason has no default: every result names why it stopped
+        with pytest.raises(TypeError):
+            CalibrationResult(threshold=1.0, achieved=0.01, iterations=1, bracket=(1.0, 2.0))
         with pytest.raises(DomainError):
             CalibrationResult(threshold=1.0, achieved=0.01, iterations=1, bracket=(1.0, 2.0),
-                              capped=False, uncapped_threshold=1.0, stop_reason="gave_up")
+                              stop_reason="gave_up")
 
 
 class TestCappedShortcut:
@@ -373,6 +371,13 @@ class TestCappedShortcut:
         _, results = calibrate_schedule(DEMO, DEMO_PRIOR, counts, cap_at_q0=True)
         assert all(r.capped for r in results)
         assert len(calls) == len(counts)
+
+    def test_capped_results_equal_their_pickle_copy(self):
+        result = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=True)
+        _, results = calibrate_schedule(DEMO, DEMO_PRIOR, [40, 80, 160], cap_at_q0=True)
+        assert result.capped and all(r.capped for r in results)
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert pickle.loads(pickle.dumps(results)) == results
 
     @settings(max_examples=40, deadline=None)
     @given(p0=st.floats(1e-6, 0.2), n=st.integers(1, 2**20))
@@ -558,7 +563,7 @@ class TestDomainTypes:
     def test_calibration_result_validation(self):
         with pytest.raises(DomainError):
             CalibrationResult(threshold=2.0, achieved=0.01, iterations=1,
-                              bracket=(0.0, 1.0), capped=False, uncapped_threshold=2.0)
+                              bracket=(0.0, 1.0), stop_reason="tol")
 
     @pytest.mark.parametrize("make", [
         lambda: SafetySpec(q0="2", p0=0.01),

@@ -49,7 +49,6 @@ from threshcal.paradox import (
     _screen_table,
     estimate_conditional_exceedance,
     euler_gamma_partial,
-    expected_max,
     expected_max_asymptotic,
     expected_max_exact,
     expected_max_monte_carlo,
@@ -479,17 +478,6 @@ class TestExpectedMax:
     def test_sigma_scaling(self):
         assert expected_max_exact(50, sigma=2.5) == pytest.approx(
             2.5 * expected_max_exact(50), rel=1e-12)
-
-    def test_dispatcher(self):
-        assert expected_max(100, method="exact") == expected_max_exact(100)
-        assert expected_max(100, method="asymptotic") == expected_max_asymptotic(100)
-        stream = SeededStream(seed=21, stream_index=5)
-        assert expected_max(10, method="monte_carlo", trials=5_000, stream=stream) == \
-            expected_max_monte_carlo(10, 1.0, 5_000, stream)[0]
-        with pytest.raises(DomainError):
-            expected_max(10, method="monte_carlo")
-        with pytest.raises(DomainError):
-            expected_max(10, method="bootstrap")
 
 
 class TestEulerGammaPartial:
