@@ -379,11 +379,15 @@ class TestIntegrateVector:
         integrate(f, 0.0, 1.0)
         assert len(calls) == 8 * 15
 
-    @pytest.mark.parametrize("width", [2])
+    @pytest.mark.parametrize("width", [2, 3])
     def test_equal_components_refine_like_a_scalar(self, width):
         # equal components carry equal weights, so the partition and every
-        # sum match the scalar run bit for bit
+        # sum match the scalar run bit for bit; a pair is the only tuple taken
         f = lambda x: math.exp(-x) * math.sin(7 * x)
+        if width != 2:
+            with pytest.raises(DomainError, match=f"tuple of width {width}$"):
+                integrate(lambda x: (f(x),) * width, 0.0, 20.0, rel_tol=1e-11)
+            return
         scalar = integrate(f, 0.0, 20.0, rel_tol=1e-11)
         assert integrate(lambda x: (f(x),) * width, 0.0, 20.0, rel_tol=1e-11) == \
             (scalar,) * width
