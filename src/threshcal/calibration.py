@@ -19,6 +19,9 @@ that share the acceptance weight Phi(t/sigma)**n.  They are computed as
 one pair-valued adaptive quadrature, so both see the same nodes and each
 node's weight is computed once.  Calibration bisects on that ratio and
 only ever returns a threshold whose computed exceedance is at most p0.
+For t > 0 the exceedance falls as n grows, so an uncapped schedule row
+resumes the bracket doubling where the row before it left off
+(calibrate_threshold's warm_start), with the same result.
 """
 
 from __future__ import annotations
@@ -291,7 +294,8 @@ def acceptance_probability(sigma_true: float, threshold: float, n: int) -> float
 
 
 def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
-                        cap_at_q0: bool = True, tol: float = 1e-4) -> CalibrationResult:
+                        cap_at_q0: bool = True, tol: float = 1e-4, *,
+                        warm_start: float | None = None) -> CalibrationResult:
     """Largest test threshold whose conditional exceedance stays within p0.
 
     With cap_at_q0, the published threshold is min(root, q0), so the answer
@@ -309,6 +313,14 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     within tol below p0 (tol is an absolute probability), or after
     _MAX_BISECTIONS steps, whichever comes first; stop_reason names which.
     The result is always the feasible end of the bracket, so achieved <= p0.
+
+    warm_start saves doubling calls and leaves the result as it is.  It is
+    a threshold >= q0 whose doubling points q0 * 2^j are known feasible at
+    n: q0 just shown feasible at n, or the uncapped threshold at a smaller
+    count (for t > 0 the exceedance falls as n grows).  The expansion
+    resumes above the largest such point, whose exceedance is computed only
+    if it is the result; if that exceeds p0, the search reruns cold.  It is
+    ignored below q0 and with cap_at_q0.
     """
     n = _require_count("n", n)
     tol = _require_finite("tol", tol)
@@ -335,14 +347,19 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             "the exceedance constraint holds at every threshold under this point "
             "prior; there is no finite uncapped solution (enable cap_at_q0)")
 
-    ce_q0 = conditional_exceedance(spec, spec.q0, n, prior)
-    if ce_q0 <= spec.p0:
-        if cap_at_q0:
-            return capped(ce_q0)
-        lo, ce_lo = spec.q0, ce_q0
+    lo, ce_lo, doublings = spec.q0, None, 0
+    if cap_at_q0 or warm_start is None or not warm_start >= spec.q0:
+        ce_lo = conditional_exceedance(spec, spec.q0, n, prior)
+        if ce_lo <= spec.p0 and cap_at_q0:
+            return capped(ce_lo)
+    else:
+        # the doubling points up to warm_start are known feasible
+        while doublings < _MAX_EXPANSIONS and 2.0 * lo <= warm_start:
+            lo, doublings = 2.0 * lo, doublings + 1
+    if ce_lo is None or ce_lo <= spec.p0:
         hi = None
-        trial = 2.0 * spec.q0
-        for _ in range(_MAX_EXPANSIONS):
+        trial = 2.0 * lo
+        for _ in range(_MAX_EXPANSIONS - doublings):
             ce_trial = conditional_exceedance(spec, trial, n, prior)
             if ce_trial > spec.p0:
                 hi = trial
@@ -389,6 +406,10 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
         if spec.p0 - ce_mid <= tol:
             stop_reason = "tol"
             break
+    if ce_lo is None:
+        ce_lo = conditional_exceedance(spec, lo, n, prior)
+        if ce_lo > spec.p0:
+            return calibrate_threshold(spec, n, prior, cap_at_q0=False, tol=tol)
     return CalibrationResult(threshold=lo, achieved=ce_lo, iterations=iterations,
                              bracket=(lo, hi), stop_reason=stop_reason)
 
@@ -400,14 +421,17 @@ def calibrate_schedule(spec: SafetySpec, prior: SigmaPrior, n_list: Sequence[int
 
     Returns the StandardRule whose required count is the first entry, and
     the CalibrationResult of every row in n_list order.  A row that cannot
-    be calibrated raises with its count named in the message.
+    be calibrated raises with its count named in the message.  Each
+    uncapped row warm-starts from the threshold of the row before it, so
+    it does not repeat that row's doubling calls.
     """
     counts = _require_counts("n_list", n_list)
     results = []
     for n_prime in counts:
         try:
-            results.append(calibrate_threshold(spec, n_prime, prior,
-                                               cap_at_q0=cap_at_q0, tol=tol))
+            results.append(calibrate_threshold(
+                spec, n_prime, prior, cap_at_q0=cap_at_q0, tol=tol,
+                warm_start=results[-1].threshold if results else None))
         except (InfeasibilityError, SolverError) as exc:
             raise type(exc)(f"schedule entry n' = {n_prime}: {exc}") from exc
     rule = StandardRule(n_required=counts[0], threshold=results[0].threshold,

@@ -221,7 +221,8 @@ def cmd_calibrate(job: JobSpec) -> tuple[int, str]:
     capped row the uncapped_threshold and iterations columns come from a
     second, uncapped calibration: its threshold and bisection steps, or
     inf and 0 when it raises SolverError because the exceedance stays
-    below p0 at every threshold (always, under a point prior).
+    below p0 at every threshold (always, under a point prior).  It
+    warm-starts at q0, which the capped one just showed feasible.
     """
     result = calibrate_threshold(job.spec, job.n_required, job.prior,
                                  cap_at_q0=job.cap_at_q0, tol=job.tol)
@@ -229,7 +230,7 @@ def cmd_calibrate(job: JobSpec) -> tuple[int, str]:
     if result.capped:
         try:
             root = calibrate_threshold(job.spec, job.n_required, job.prior,
-                                       cap_at_q0=False, tol=job.tol)
+                                       cap_at_q0=False, tol=job.tol, warm_start=job.spec.q0)
             iterations, uncapped = root.iterations, root.threshold
         except SolverError:
             iterations, uncapped = 0, math.inf

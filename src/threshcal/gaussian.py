@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -302,51 +301,8 @@ _WG = (0.129484966168869693270611432679082,
 _WG_CENTER = 0.417959183673469387755102040816327
 
 
-_XK0, _XK1, _XK2, _XK3, _XK4, _XK5, _XK6 = _XGK
-
 # Equal panels of the fixed grid that integrate() evaluates before refining.
 _INITIAL_PANELS = 8
-
-
-def _gk15_nodes(f: Callable, a: float, b: float) -> tuple[float, list]:
-    """Half-width of the panel [a, b] and f at its 15 Kronrod nodes: the
-    center first, then the symmetric pairs from the outside in."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    d0, d1, d2, d3 = h * _XK0, h * _XK1, h * _XK2, h * _XK3
-    d4, d5, d6 = h * _XK4, h * _XK5, h * _XK6
-    return h, [f(c), f(c - d0), f(c + d0), f(c - d1), f(c + d1), f(c - d2), f(c + d2),
-               f(c - d3), f(c + d3), f(c - d4), f(c + d4), f(c - d5), f(c + d5),
-               f(c - d6), f(c + d6)]
-
-
-def _gk15_rule(v, h: float, weights=(_WGK_CENTER, *_WGK, _WG_CENTER, *_WG)
-               ) -> tuple[float, float]:
-    """(integral, error estimate) of one panel from its 15 node values, in
-    the order _gk15_nodes returns them.  The sums run left to right: their
-    order is part of the result."""
-    fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = v
-    kc, k0, k1, k2, k3, k4, k5, k6, gc, g1, g3, g5 = weights
-    p1, p3, p5 = l1 + r1, l3 + r3, l5 + r5
-    rk = (kc * fc + k0 * (l0 + r0) + k1 * p1 + k2 * (l2 + r2) + k3 * p3
-          + k4 * (l4 + r4) + k5 * p5 + k6 * (l6 + r6))
-    rg = gc * fc + g1 * p1 + g3 * p3 + g5 * p5
-    return h * rk, abs(h * (rk - rg))
-
-
-def _scalar_panel(values: list, h: float) -> tuple[tuple, tuple]:
-    seg_i, seg_e = _gk15_rule(values, h)
-    return (seg_i,), (seg_e,)
-
-
-def _pair_panel(values: list, h: float) -> tuple[tuple, tuple]:
-    """_gk15_rule on both components of pair values; unpacking is cheaper
-    than transposing with zip."""
-    ((fc, uc), (l0, m0), (r0, s0), (l1, m1), (r1, s1), (l2, m2), (r2, s2), (l3, m3),
-     (r3, s3), (l4, m4), (r4, s4), (l5, m5), (r5, s5), (l6, m6), (r6, s6)) = values
-    wi, we = _gk15_rule((fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6), h)
-    ui, ue = _gk15_rule((uc, m0, s0, m1, s1, m2, s2, m3, s3, m4, s4, m5, s5, m6, s6), h)
-    return (wi, ui), (we, ue)
 
 
 def _is_pair(value) -> bool:
@@ -376,9 +332,10 @@ def integrate(f: Callable, lo: float, hi: float,
     evaluation budget, so every node is evaluated once for both.
     Refinement runs until each component meets its own tolerance, and the
     panel split next is the one with the largest error measured in units
-    of each component's tolerance on the initial grid.  For a scalar
-    f that is the raw error, so scalar results keep the refinement order
-    and the value they always had.
+    of each component's tolerance on the initial grid.  A scalar f runs as
+    the pair (value, 0.0), whose second component has zero error and so
+    never sets the refinement order or the stop: scalar results keep the
+    refinement order and the value they always had.
 
     Raises IntegrationError, carrying the best estimate and its error
     bound (pairs for a pair-valued f), if the evaluation budget runs out
@@ -396,77 +353,94 @@ def integrate(f: Callable, lo: float, hi: float,
 
     edges = [lo + (hi - lo) * k / _INITIAL_PANELS for k in range(_INITIAL_PANELS)] + [hi]
     spans = [(a, b) for a, b in zip(edges, edges[1:]) if a != b]
-    h, values = _gk15_nodes(f, *spans[0])
-    vector = _is_pair(values[0])
-    width = 2 if vector else 1
-    rule = _pair_panel if vector else _scalar_panel
+    first = f(0.5 * (spans[0][0] + spans[0][1]))
+    pair = _is_pair(first)
+    if not pair:
+        scalar, first = f, (first, 0.0)
+        f = lambda x: (scalar(x), 0.0)
 
-    def shaped(components: list):
-        return tuple(components) if vector else components[0]
+    def panel(a, b, center, x=_XGK, w=(_WGK_CENTER, *_WGK, _WG_CENTER, *_WG)):
+        """Both components' integral and error estimate on [a, b] from f at
+        its 15 Kronrod nodes: the center (given), then the symmetric pairs
+        from the outside in.  The sums run left to right: their order is
+        part of the result."""
+        c = 0.5 * (a + b)
+        h = 0.5 * (b - a)
+        x0, x1, x2, x3, x4, x5, x6 = x
+        d0, d1, d2, d3, d4, d5, d6 = h * x0, h * x1, h * x2, h * x3, h * x4, h * x5, h * x6
+        fc, uc = center
+        (l0, m0), (r0, s0) = f(c - d0), f(c + d0)
+        (l1, m1), (r1, s1) = f(c - d1), f(c + d1)
+        (l2, m2), (r2, s2) = f(c - d2), f(c + d2)
+        (l3, m3), (r3, s3) = f(c - d3), f(c + d3)
+        (l4, m4), (r4, s4) = f(c - d4), f(c + d4)
+        (l5, m5), (r5, s5) = f(c - d5), f(c + d5)
+        (l6, m6), (r6, s6) = f(c - d6), f(c + d6)
+        kc, k0, k1, k2, k3, k4, k5, k6, gc, g1, g3, g5 = w
+        p1, p3, p5 = l1 + r1, l3 + r3, l5 + r5
+        wk = (kc * fc + k0 * (l0 + r0) + k1 * p1 + k2 * (l2 + r2) + k3 * p3
+              + k4 * (l4 + r4) + k5 * p5 + k6 * (l6 + r6))
+        wg = gc * fc + g1 * p1 + g3 * p3 + g5 * p5
+        p1, p3, p5 = m1 + s1, m3 + s3, m5 + s5
+        uk = (kc * uc + k0 * (m0 + s0) + k1 * p1 + k2 * (m2 + s2) + k3 * p3
+              + k4 * (m4 + s4) + k5 * p5 + k6 * (m6 + s6))
+        ug = gc * uc + g1 * p1 + g3 * p3 + g5 * p5
+        return h * wk, h * uk, abs(h * (wk - wg)), abs(h * (uk - ug))
 
+    isfinite = math.isfinite
     evals = 0
-    total = [0.0] * width
-    total_err = [0.0] * width
+    total_w = total_u = err_w = err_u = 0.0
     panels = []
     for a, b in spans:
-        if panels:
-            h, values = _gk15_nodes(f, a, b)
-        seg_i, seg_e = rule(values, h)
-        if not all(map(math.isfinite, seg_i)):
+        wi, ui, we, ue = panel(a, b, f(0.5 * (a + b)) if panels else first)
+        if not (isfinite(wi) and isfinite(ui)):
             raise DomainError(f"integrand returned a non-finite value on [{a}, {b}]")
         evals += 15
-        panels.append((a, b, seg_i, seg_e))
-        for j in range(width):
-            total[j] += seg_i[j]
-            total_err[j] += seg_e[j]
+        panels.append((a, b, wi, ui, we, ue))
+        total_w, total_u, err_w, err_u = total_w + wi, total_u + ui, err_w + we, err_u + ue
 
-    # Error weights that measure every component in units of the first
-    # one's tolerance (without forming the tolerances, which underflow for
-    # a subnormal component); the first weight is exactly 1.  A component
-    # far smaller than the first, or zero, gets the largest finite weight,
-    # so its errors are never starved by the first one's.
-    scales = [max(abs(t), abs_tol / rel_tol) for t in total]
-    weights = [1.0 if scales[0] == 0.0 else min(scales[0] / s, _FLOAT_MAX) if s > 0.0
-               else _FLOAT_MAX for s in scales]
-
-    def priority(seg_e: tuple) -> float:
-        return -max(map(operator.mul, seg_e, weights))
-
-    heap = [(priority(seg_e), counter, a, b, seg_i, seg_e)
-            for counter, (a, b, seg_i, seg_e) in enumerate(panels)]
+    # Weight of the second component's errors, in units of the first one's
+    # tolerance (not formed: it underflows for a subnormal component).  A far
+    # smaller or zero component gets the largest finite weight, so its errors
+    # are never starved by the first one's.
+    scale_w = max(abs(total_w), abs_tol / rel_tol)
+    scale_u = max(abs(total_u), abs_tol / rel_tol)
+    weight = (1.0 if scale_w == 0.0 else min(scale_w / scale_u, _FLOAT_MAX) if scale_u > 0.0
+              else _FLOAT_MAX)
+    heap = [(-max(we, ue * weight), counter, a, b, wi, ui, we, ue)
+            for counter, (a, b, wi, ui, we, ue) in enumerate(panels)]
     heapq.heapify(heap)
     counter = len(heap)
 
     def fail(message: str, pending: tuple | None = None) -> IntegrationError:
-        best = [math.fsum(seg[4][j] for seg in heap) for j in range(width)]
+        best = [math.fsum(seg[j] for seg in heap) for j in (4, 5)]
         if pending is not None:
             best = [s + p for s, p in zip(best, pending)]
-        best, err = shaped(best), shaped(total_err)
+        best, err = (tuple(best), (err_w, err_u)) if pair else (best[0], err_w)
         return IntegrationError(f"{message}; best estimate {best!r} with error bound {err!r}",
                                 estimate=best, error_bound=err)
 
-    while any(e > max(rel_tol * abs(t), abs_tol) for t, e in zip(total, total_err)):
+    while err_w > max(rel_tol * abs(total_w), abs_tol) or \
+            err_u > max(rel_tol * abs(total_u), abs_tol):
         if evals + 30 > max_evals:
             raise fail(f"quadrature budget of {max_evals} evaluations exhausted")
-        _, _, a, b, old_i, old_e = heapq.heappop(heap)
+        _, _, a, b, wi, ui, we, ue = heapq.heappop(heap)
         m = 0.5 * (a + b)
         if not (a < m < b):
-            raise fail(f"interval [{a}, {b}] cannot be split further", old_i)
-        h, values = _gk15_nodes(f, a, m)
-        left_i, left_e = rule(values, h)
-        h, values = _gk15_nodes(f, m, b)
-        right_i, right_e = rule(values, h)
+            raise fail(f"interval [{a}, {b}] cannot be split further", (wi, ui))
+        lw, lu, lwe, lue = panel(a, m, f(0.5 * (a + m)))
+        rw, ru, rwe, rue = panel(m, b, f(0.5 * (m + b)))
         evals += 30
-        if not all(map(math.isfinite, left_i + right_i)):
+        if not (isfinite(lw) and isfinite(lu) and isfinite(rw) and isfinite(ru)):
             raise DomainError(f"integrand returned a non-finite value on [{a}, {b}]")
-        for j in range(width):
-            total[j] += left_i[j] + right_i[j] - old_i[j]
-            total_err[j] += left_e[j] + right_e[j] - old_e[j]
-        heapq.heappush(heap, (priority(left_e), counter, a, m, left_i, left_e))
-        heapq.heappush(heap, (priority(right_e), counter + 1, m, b, right_i, right_e))
+        total_w, total_u = total_w + (lw + rw - wi), total_u + (lu + ru - ui)
+        err_w, err_u = err_w + (lwe + rwe - we), err_u + (lue + rue - ue)
+        heapq.heappush(heap, (-max(lwe, lue * weight), counter, a, m, lw, lu, lwe, lue))
+        heapq.heappush(heap, (-max(rwe, rue * weight), counter + 1, m, b, rw, ru, rwe, rue))
         counter += 2
 
-    return shaped([math.fsum(seg[4][j] for seg in heap) for j in range(width)])
+    best = math.fsum(seg[4] for seg in heap)
+    return (best, math.fsum(seg[5] for seg in heap)) if pair else best
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from threshcal.errors import (
     InfeasibilityError,
     InfeasibleConditioningError,
     InsufficientDataError,
+    IntegrationError,
     SolverError,
 )
 from threshcal.gaussian import std_normal_quantile
@@ -223,6 +224,30 @@ class TestConditionalExceedance:
                 assert expected is not None
                 assert got == pytest.approx(expected, rel=1e-11, abs=0.0), (threshold, n)
 
+    # frozen before the quadrature engine became one loop: (prior, n, threshold, value)
+    PINNED = [
+        ((0.01, 10.0), 1, 0.75, "0x1.73c1f6007eb8ep-4"),
+        ((0.01, 10.0), 2, -0.5, "0x1.5f53779f2fd6dp-2"),
+        ((0.01, 10.0), 2, 0.0, "0x1.02feeab00748dp-3"),
+        ((0.01, 10.0), 40, 1.0, "0x1.513276076ed74p-10"),
+        ((0.01, 10.0), 640, 2.5, "0x1.febe049b63ac2p-8"),
+        ((0.01, 10.0), 20480, 1.25, "0x1.51bdf12a28557p-16"),
+        ((0.01, 10.0), 1310720, 6.0, "0x1.4de4ee8f79845p-6"),
+        ((0.01, 1.0), 1, -1.0, "0x1.8d074d60b29b1p-4"),
+        ((0.01, 1.0), 40, 0.3, "0x1.6dbaf23b2d76dp-24"),
+        ((0.01, 1.0), 20480, 3.75, "0x1.6e42f70e200e5p-7"),
+        ((0.01, 1.0), 1310720, 0.5, "0x1.55d01f55e61e4p-75"),
+        ((0.5, 0.6), 1, -0.25, "0x1.1b480fd26d428p-5"),
+        ((0.5, 0.6), 2, 1.5, "0x1.19897cd343b28p-5"),
+        ((0.5, 0.6), 640, 2.0, "0x1.15a2647001344p-5"),
+        ((0.5, 0.6), 1310720, 4.0, "0x1.19b3deed05497p-5"),
+    ]
+
+    def test_pair_engine_results_are_pinned(self):
+        got = [conditional_exceedance(DEMO, t, n, SigmaPrior.log_uniform(*prior)).hex()
+               for prior, n, t, _ in self.PINNED]
+        assert got == [h for *_, h in self.PINNED]
+
 
 class TestCalibrateThreshold:
     def test_point_prior_satisfying_caps(self):
@@ -400,6 +425,68 @@ class TestCappedShortcut:
         else:
             assert capped == uncapped
             assert capped.threshold < spec.q0
+
+
+class TestWarmStart:
+    """Uncapped schedule rows resume the doubling where the row before left it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(p0=st.floats(1e-6, 0.2),
+           counts=st.sets(st.integers(1, 2**20), min_size=2, max_size=6).map(sorted),
+           prior=st.sampled_from([(0.01, 10.0), (0.01, 1.0), (0.5, 0.6)]),
+           cap=st.booleans())
+    def test_schedule_rows_equal_cold_rows(self, p0, counts, prior, cap):
+        spec, prior = SafetySpec(q0=1.0, p0=p0), SigmaPrior.log_uniform(*prior)
+        cold, failure = [], None
+        for n in counts:
+            try:
+                cold.append(calibrate_threshold(spec, n, prior, cap_at_q0=cap))
+            except (InfeasibilityError, SolverError) as exc:
+                failure = type(exc), f"schedule entry n' = {n}: {exc}"
+                break
+            except (InfeasibleConditioningError, IntegrationError) as exc:
+                failure = type(exc), str(exc)
+                break
+        if failure is None:
+            assert calibrate_schedule(spec, prior, counts, cap_at_q0=cap)[1] == tuple(cold)
+            return
+        with pytest.raises(failure[0]) as exc:
+            calibrate_schedule(spec, prior, counts, cap_at_q0=cap)
+        assert type(exc.value) is failure[0] and str(exc.value) == failure[1]
+
+    def test_uncapped_demo_schedule_skips_the_proven_doublings(self, monkeypatch):
+        calls = TestCappedShortcut._count_calls(monkeypatch)
+        counts = [40, 80, 160, 320, 640]
+        calibrate_schedule(DEMO, DEMO_PRIOR, counts, cap_at_q0=False)
+        assert len(calls) == 42        # 49 when every row starts at q0
+        assert [n for _, t, n, _ in calls if t == DEMO.q0] == [40]
+
+    @pytest.mark.parametrize("warm_start", [1.0, 2.0**10, 2.0**64, 2.0**70, math.inf])
+    def test_expansion_limit_counts_from_q0(self, monkeypatch, warm_start):
+        # the exceedance stays below p0 at every threshold under this prior
+        spec, prior = SafetySpec(q0=1.0, p0=0.1), SigmaPrior.log_uniform(0.5, 0.6)
+        with pytest.raises(SolverError) as cold:
+            calibrate_threshold(spec, 40, prior, cap_at_q0=False)
+        calls = TestCappedShortcut._count_calls(monkeypatch)
+        with pytest.raises(SolverError) as warm:
+            calibrate_threshold(spec, 40, prior, cap_at_q0=False, warm_start=warm_start)
+        assert str(warm.value) == str(cold.value)
+        assert str(2.0**calibration._MAX_EXPANSIONS) in str(cold.value)
+        assert len(calls) == calibration._MAX_EXPANSIONS - min(math.log2(warm_start), 64)
+
+    @pytest.mark.parametrize("warm_start", [0.5, 1e6])
+    def test_unusable_warm_start_gives_the_cold_result(self, warm_start):
+        # below q0 it is ignored; 1e6 is not feasible at n = 40, which shows
+        # once no midpoint moves the bracket's low end, and the search reruns
+        cold = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=False)
+        assert calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=False,
+                                   warm_start=warm_start) == cold
+
+    def test_capped_rows_ignore_the_warm_start(self, monkeypatch):
+        calls = TestCappedShortcut._count_calls(monkeypatch)
+        result = calibrate_threshold(DEMO, 40, DEMO_PRIOR, warm_start=4.0)
+        assert result == calibrate_threshold(DEMO, 40, DEMO_PRIOR)
+        assert len(calls) == 2
 
 
 class TestThresholdSchedule:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from threshcal import cli
+from threshcal import calibration, cli
 from threshcal.calibration import calibrate_schedule
 from threshcal.cli import (
     EXIT_INFEASIBLE,
@@ -121,6 +121,20 @@ class TestCalibrateCommand:
         code, _, err = run_cli(capsys, "calibrate", "--job", str(bad))
         assert code == EXIT_INPUT_ERROR
         assert "error" in err
+
+    def test_capped_row_evaluates_q0_once(self, capsys, monkeypatch):
+        # the second, uncapped calibration starts from the q0 just shown feasible
+        thresholds = []
+        real = calibration.conditional_exceedance
+
+        def counting(spec, threshold, n, prior):
+            thresholds.append(threshold)
+            return real(spec, threshold, n, prior)
+
+        monkeypatch.setattr(calibration, "conditional_exceedance", counting)
+        code, out, _ = run_cli(capsys, "calibrate")
+        assert code == EXIT_OK and out.splitlines()[1].split(",")[2] == "true"
+        assert thresholds.count(1.0) == 1
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "calibrate")

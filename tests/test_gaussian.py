@@ -429,6 +429,16 @@ class TestIntegrateVector:
         assert estimate == (pytest.approx(2.0, rel=1e-2), pytest.approx(1.0, rel=1e-15))
         assert bound[0] > 0.0 and 0.0 <= bound[1] < 1e-15
 
+    def test_pair_results_are_pinned(self):
+        # frozen before the quadrature engine became one loop
+        with pytest.raises(IntegrationError) as exc:
+            integrate(lambda x: (x ** -0.5, math.exp(-x) * math.sin(7 * x)), 0.0, 1.0,
+                      rel_tol=1e-13, max_evals=400)
+        assert [v.hex() for v in exc.value.estimate] == ["0x1.ffd139adc440fp+0",
+                                                          "0x1.8a998cda7de35p-4"]
+        assert [v.hex() for v in exc.value.error_bound] == ["0x1.20902033c0890p-10",
+                                                             "0x1.2804400000000p-55"]
+
     def test_ragged_values_are_rejected(self):
         with pytest.raises((TypeError, ValueError)):
             integrate(lambda x: (1.0, 2.0) if x < 0.5 else (1.0,), 0.0, 1.0)
