@@ -39,7 +39,7 @@ def main():
           f"(fixed-rule acceptance at n = {rule.n_required} is "
           f"{acceptance_probability(sigma_true, rule.threshold, rule.n_required):.3f})\n")
 
-    points = paradox_curve(SPEC, PRIOR, sigma_true, rule, N_LIST, TRIALS,
+    points = paradox_curve(sigma_true, rule, N_LIST, TRIALS,
                            SeededStream(seed=0, stream_index=3))
     print(f"{'n_prime':>8}  {'t(n_prime)':>11}  {'rejected (fixed t)':>19}  "
           f"{'rejected (schedule)':>20}")

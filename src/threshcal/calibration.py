@@ -124,29 +124,36 @@ class SigmaPrior:
 
 @dataclass(frozen=True)
 class StandardRule:
-    """A published standard: required count, test threshold, and the
-    extended threshold schedule for practitioners who measure more."""
+    """A published standard: its threshold schedule t(n').
 
-    n_required: int
-    threshold: float
+    The first entry is the required count with its test threshold; the
+    later entries extend it to practitioners who measure more.  The counts
+    are integers in [1, 2**36], strictly increasing, and the thresholds
+    finite and non-decreasing; any other schedule raises ConfigurationError.
+    """
+
     schedule: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        _require_count("n_required", self.n_required)
-        _require_finite("threshold", self.threshold)
-        if not self.schedule:
-            raise ConfigurationError("schedule must not be empty")
-        object.__setattr__(self, "schedule", tuple((int(n), float(t)) for n, t in self.schedule))
-        ns = [n for n, _ in self.schedule]
-        ts = [t for _, t in self.schedule]
-        if ns[0] != self.n_required or ts[0] != self.threshold:
+        try:
+            counts = _require_counts("schedule counts", [n for n, _ in self.schedule])
+            thresholds = [_require_finite("schedule threshold", t) for _, t in self.schedule]
+        except DomainError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        if any(a > b for a, b in zip(thresholds, thresholds[1:])):
             raise ConfigurationError(
-                "first schedule entry must be (n_required, threshold), got "
-                f"({ns[0]}, {ts[0]})")
-        if any(a >= b for a, b in zip(ns, ns[1:])):
-            raise ConfigurationError(f"schedule counts must be strictly increasing, got {ns}")
-        if any(a > b for a, b in zip(ts, ts[1:])):
-            raise ConfigurationError(f"schedule thresholds must be non-decreasing, got {ts}")
+                f"schedule thresholds must be non-decreasing, got {thresholds}")
+        object.__setattr__(self, "schedule", tuple(zip(counts, thresholds)))
+
+    @property
+    def n_required(self) -> int:
+        """The count of the first schedule entry: the measurements required."""
+        return self.schedule[0][0]
+
+    @property
+    def threshold(self) -> float:
+        """The test threshold of the first schedule entry, at n_required."""
+        return self.schedule[0][1]
 
     def entry_for(self, n_prime: int) -> tuple[int, float]:
         """Schedule entry applied to n_prime measurements: the exact entry,
@@ -434,8 +441,7 @@ def calibrate_schedule(spec: SafetySpec, prior: SigmaPrior, n_list: Sequence[int
                 warm_start=results[-1].threshold if results else None))
         except (InfeasibilityError, SolverError) as exc:
             raise type(exc)(f"schedule entry n' = {n_prime}: {exc}") from exc
-    rule = StandardRule(n_required=counts[0], threshold=results[0].threshold,
-                        schedule=tuple((n, r.threshold) for n, r in zip(counts, results)))
+    rule = StandardRule(tuple((n, r.threshold) for n, r in zip(counts, results)))
     return rule, tuple(results)
 
 

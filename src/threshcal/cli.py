@@ -59,6 +59,7 @@ from .calibration import (
     SigmaPrior,
     calibrate_schedule,
     calibrate_threshold,
+    next_exceeds_max_probability,
     threshold_schedule,
 )
 from .errors import (
@@ -324,7 +325,7 @@ def cmd_simulate(job: JobSpec, mode: str) -> tuple[int, str]:
         report = simulate_minimal_effort(job.n_required, job.trials, stream)
         rows = [["n", "estimate", "standard_error", "expected"],
                 [str(job.n_required), _fmt(report.estimate),
-                 _fmt(report.standard_error), _fmt(1.0 / (job.n_required + 1))]]
+                 _fmt(report.standard_error), _fmt(next_exceeds_max_probability(job.n_required))]]
         return EXIT_OK, _csv(rows)
 
     # paradox mode: build the schedule, then pick the true scale so the
@@ -336,8 +337,7 @@ def cmd_simulate(job: JobSpec, mode: str) -> tuple[int, str]:
     print(f"paradox: sigma_true = {_fmt(sigma_true)} anchors fixed-rule acceptance "
           f"{_fmt(_PARADOX_ANCHOR_ACCEPTANCE)} at n = {rule.n_required}", file=sys.stderr)
     stream = SeededStream(seed=job.seed, stream_index=STREAM_PARADOX)
-    points = paradox_curve(job.spec, job.prior, sigma_true, rule, job.n_list,
-                           job.trials, stream)
+    points = paradox_curve(sigma_true, rule, job.n_list, job.trials, stream)
     rows = [["n_prime", "rejection_fixed", "rejection_schedule"]]
     for point in points:
         rows.append([str(point.n_prime), _fmt(point.rejection_fixed),

@@ -189,47 +189,39 @@ def _map_blocks(stream: SeededStream, trials: int,
     """block_fn(stream.generator(b), size) for every block b of the plan, in order.
 
     The generators are made here, on the calling thread, in block order,
-    _WAVE_BLOCKS at a time; each wave's blocks then run on
-    min(_WORKERS, blocks) threads (_run_blocks).
-    """
-    plan = _block_plan(trials)
-    results = []
-    for first in range(0, len(plan), _WAVE_BLOCKS):
-        wave = range(first, min(first + _WAVE_BLOCKS, len(plan)))
-        results += _run_blocks([(stream.generator(b), plan[b]) for b in wave], block_fn)
-    return results
-
-
-def _run_blocks(jobs: list, block_fn: Callable) -> list[tuple]:
-    """block_fn(*job) for every job, in order, on min(_WORKERS, jobs) threads.
-
-    The calling thread is one of them; thread w takes jobs w, w + workers,
-    ...; with one worker no thread is started.  The numpy calls in a
-    block release the GIL, so the threads overlap.  A failing job stops
-    its own thread; once every thread has finished, the exception of the
-    lowest failing job is raised, which is the one a plain loop would
+    _WAVE_BLOCKS at a time.  Each wave's blocks then run on
+    min(_WORKERS, blocks) threads: the calling thread is one of them,
+    thread w takes the wave's blocks w, w + workers, ..., and with one
+    worker no thread is started.  The numpy calls in a block release the
+    GIL, so the threads overlap.  A failing block stops its own thread;
+    once every thread of the wave has finished, the exception of the
+    lowest failing block is raised, which is the one a plain loop would
     raise.
     """
-    workers = min(_WORKERS, len(jobs))
-    results: list = [None] * len(jobs)
+    plan = _block_plan(trials)
+    results: list = [None] * len(plan)
     failures: list[tuple[int, BaseException]] = []
 
-    def run(first: int) -> None:
-        for b in range(first, len(jobs), workers):
+    def run(first: int, gens: list, workers: int, w: int) -> None:
+        for b in range(first + w, first + len(gens), workers):
             try:
-                results[b] = block_fn(*jobs[b])
+                results[b] = block_fn(gens[b - first], plan[b])
             except BaseException as exc:   # re-raised on the calling thread
                 failures.append((b, exc))
                 return
 
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+    for first in range(0, len(plan), _WAVE_BLOCKS):
+        gens = [stream.generator(b) for b in range(first, min(first + _WAVE_BLOCKS, len(plan)))]
+        workers = min(_WORKERS, len(gens))
+        threads = [threading.Thread(target=run, args=(first, gens, workers, w))
+                   for w in range(1, workers)]
+        for thread in threads:
+            thread.start()
+        run(first, gens, workers, 0)
+        for thread in threads:
+            thread.join()
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
     return results
 
 
@@ -352,17 +344,16 @@ def simulate_compliance(scenario: DesignScenario, rule_kind: str) -> SimulationR
                             accepted_runs=scenario.trials - rejected)
 
 
-def paradox_curve(spec: SafetySpec, prior: SigmaPrior, sigma_true: float,
-                  rule: StandardRule, n_list: Sequence[int], trials: int,
-                  stream: SeededStream) -> list[ParadoxPoint]:
+def paradox_curve(sigma_true: float, rule: StandardRule, n_list: Sequence[int],
+                  trials: int, stream: SeededStream) -> list[ParadoxPoint]:
     """Rejection rates against measurement count, under both rule readings.
 
-    One simulated sample maximum per trial and count, scored against both
-    the fixed threshold (which rejects more as n' grows: more chances to
-    cross the same bar) and the count-matched schedule entry.  The two
-    readings share their draws, so they coincide exactly where the
-    thresholds do.  spec and prior record the calibration context the
-    rule came from; they are not re-derived here.
+    One simulated sample maximum at scale sigma_true per trial and count,
+    scored against both the fixed threshold rule.threshold (which rejects
+    more as n' grows: more chances to cross the same bar) and the
+    count-matched schedule entry.  The two readings share their draws, so
+    they coincide exactly where the thresholds do.  Every count must lie
+    within the schedule's tabulated range.
 
     Row r draws from stream.child(r).
     """

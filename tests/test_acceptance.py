@@ -148,7 +148,7 @@ def test_criterion_6_paradox_reproduction(capped_rule):
         t40 = capped_rule.threshold
         sigma_true = t40 / std_normal_quantile(0.9 ** (1.0 / 40.0))
         assert acceptance_probability(sigma_true, t40, 40) == pytest.approx(0.9, abs=1e-9)
-        points = paradox_curve(DEMO, DEMO_PRIOR, sigma_true, capped_rule, N_LIST,
+        points = paradox_curve(sigma_true, capped_rule, N_LIST,
                                trials, SeededStream(seed=0, stream_index=3))
         by_n = {p.n_prime: p for p in points}
         acc40 = 1.0 - by_n[40].rejection_fixed
@@ -237,10 +237,10 @@ def test_criterion_9_determinism(tmp_path, capsys):
         trials = 2 * _BLOCK_TRIALS + 999
         sizes = [_BLOCK_TRIALS, _BLOCK_TRIALS, 999]
         stream = SeededStream(seed=0, stream_index=3)
-        rule = StandardRule(n_required=40, threshold=0.8, schedule=((40, 0.8), (80, 0.9)))
+        rule = StandardRule(schedule=((40, 0.8), (80, 0.9)))
         sigma_true = 0.3
-        points = paradox_curve(DEMO, DEMO_PRIOR, sigma_true, rule, [40, 80], trials, stream)
-        assert points == paradox_curve(DEMO, DEMO_PRIOR, sigma_true, rule, [40, 80],
+        points = paradox_curve(sigma_true, rule, [40, 80], trials, stream)
+        assert points == paradox_curve(sigma_true, rule, [40, 80],
                                        trials, stream)
         for row, point in enumerate(points):
             cutoffs = [log_cdf_power(t / sigma_true, point.n_prime)

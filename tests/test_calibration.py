@@ -595,7 +595,7 @@ class TestEvaluateCompliance:
         rule = self._uncapped_rule()
         t40 = rule.threshold
         t640 = dict(rule.schedule)[640]
-        fixed_rule = StandardRule(n_required=40, threshold=t40, schedule=((40, t40),))
+        fixed_rule = StandardRule(schedule=((40, t40),))
         planted = 0.5 * (t40 + t640)  # between the two thresholds
         values = [0.0] * 639 + [planted]
         scheduled = evaluate_compliance(rule, values)
@@ -641,11 +641,17 @@ class TestDomainTypes:
 
     def test_standard_rule_validation(self):
         with pytest.raises(ConfigurationError):
-            StandardRule(n_required=40, threshold=1.0, schedule=((40, 1.0), (30, 1.1)))
+            StandardRule(schedule=((40, 1.0), (30, 1.1)))
         with pytest.raises(ConfigurationError):
-            StandardRule(n_required=40, threshold=1.0, schedule=((40, 1.0), (80, 0.9)))
-        with pytest.raises(ConfigurationError):
-            StandardRule(n_required=40, threshold=1.0, schedule=((50, 1.0),))
+            StandardRule(schedule=((40, 1.0), (80, 0.9)))
+        # every entry is checked, not only the first
+        for schedule in (((40, 1.0), (80, math.nan)),
+                         ((40, 1.0), (80, math.inf)),
+                         ((40, 1.0), (80.9, 1.1)),
+                         ((True, 1.0), (80, 1.1)),
+                         ((40, 1.0), (2**40, 1.1))):
+            with pytest.raises(ConfigurationError, match="schedule"):
+                StandardRule(schedule=schedule)
 
     def test_calibration_result_validation(self):
         with pytest.raises(DomainError):

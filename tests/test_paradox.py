@@ -176,7 +176,7 @@ class TestSimulateCompliance:
 class TestParadoxCurve:
     def test_anchor_point_regimes_coincide(self, uncapped_rule):
         sigma = uncapped_rule.threshold / std_normal_quantile(0.9 ** (1 / 40))
-        points = paradox_curve(DEMO, DEMO_PRIOR, sigma, uncapped_rule, [40],
+        points = paradox_curve(sigma, uncapped_rule, [40],
                                trials=40_000, stream=SeededStream(seed=14, stream_index=4))
         assert len(points) == 1
         # both readings score the same simulated maxima against the same threshold
@@ -184,7 +184,7 @@ class TestParadoxCurve:
 
     def test_demo_curve_shape(self, uncapped_rule):
         sigma = uncapped_rule.threshold / std_normal_quantile(0.9 ** (1 / 40))
-        points = paradox_curve(DEMO, DEMO_PRIOR, sigma, uncapped_rule,
+        points = paradox_curve(sigma, uncapped_rule,
                                [40, 160, 640], trials=20_000,
                                stream=SeededStream(seed=15, stream_index=4))
         fixed = [p.rejection_fixed for p in points]
@@ -198,7 +198,7 @@ class TestParadoxCurve:
 
     def test_rejects_counts_outside_schedule(self, uncapped_rule):
         with pytest.raises(ConfigurationError):
-            paradox_curve(DEMO, DEMO_PRIOR, 0.5, uncapped_rule, [40, 1280],
+            paradox_curve(0.5, uncapped_rule, [40, 1280],
                           trials=10, stream=SeededStream(seed=0))
 
 
@@ -400,7 +400,7 @@ def one_block_calls(rule):
         "simulate_minimal_effort": lambda: simulate_minimal_effort(40, _BLOCK_TRIALS, stream),
         "simulate_compliance-fixed_sigma": compliance("fixed_sigma"),
         "simulate_compliance-minimal_effort": compliance("minimal_effort"),
-        "paradox_curve": lambda: paradox_curve(DEMO, DEMO_PRIOR, 1.0, rule, [40],
+        "paradox_curve": lambda: paradox_curve(1.0, rule, [40],
                                                _BLOCK_TRIALS, stream),
         "expected_max_monte_carlo": lambda: expected_max_monte_carlo(40, 1.0, _BLOCK_TRIALS,
                                                                      stream),
@@ -539,8 +539,7 @@ def binomial_se(p, trials):
 @pytest.fixture(scope="module")
 def wide_rule():
     """A rule tabulated at every count of COUNTS, required count 1."""
-    return StandardRule(n_required=1, threshold=3.0,
-                        schedule=((1, 3.0), (2, 3.1), (40, 3.3), (640, 3.6)))
+    return StandardRule(schedule=((1, 3.0), (2, 3.1), (40, 3.3), (640, 3.6)))
 
 
 class TestBruteForceEquivalence:
@@ -580,7 +579,7 @@ class TestBruteForceEquivalence:
 
     def test_paradox_curve(self, wide_rule):
         sigma = 1.0
-        points = paradox_curve(DEMO, DEMO_PRIOR, sigma, wide_rule, COUNTS, LIBRARY_TRIALS,
+        points = paradox_curve(sigma, wide_rule, COUNTS, LIBRARY_TRIALS,
                                SeededStream(seed=34, stream_index=4))
         assert [p.n_prime for p in points] == COUNTS
         for p in points:
@@ -624,7 +623,7 @@ def every_entry_point(rule):
             scenario = DesignScenario(mode=mode, sigma_true=1.0, rule=rule, n_performed=40,
                                       trials=INVARIANCE_TRIALS, stream=stream)
             results.append(simulate_compliance(scenario, kind))
-    results.append(paradox_curve(DEMO, DEMO_PRIOR, 1.0, rule, [2, 40, 640],
+    results.append(paradox_curve(1.0, rule, [2, 40, 640],
                                  INVARIANCE_TRIALS, stream))
     results.append(estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR,
                                                    INVARIANCE_TRIALS, stream))
