@@ -312,22 +312,22 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     raises SolverError where the constraint holds at every threshold tried
     (always, under a point prior).
 
-    Otherwise root-finding is bisection on the rising branch of the
-    threshold map, anchored at q0: the bracket expands upward by doubling
-    while the exceedance at the top is still below p0, or contracts
-    downward by halving while it is above.  Bisection stops at threshold
-    resolution 1e-9 * q0, at the first midpoint whose exceedance lies
-    within tol below p0 (tol is an absolute probability), or after
-    _MAX_BISECTIONS steps, whichever comes first; stop_reason names which.
-    The result is always the feasible end of the bracket, so achieved <= p0.
+    Otherwise root-finding is bisection on the rising branch of the threshold
+    map, anchored at q0: the bracket expands upward by doubling while the
+    exceedance at the top is still below p0 (uncapped, also past an
+    InfeasibleConditioningError at q0), or contracts downward by halving while
+    it is above.  Bisection stops at threshold resolution 1e-9 * q0, at the
+    first midpoint whose exceedance lies within tol below p0 (tol is an
+    absolute probability), or after _MAX_BISECTIONS steps, whichever comes
+    first; stop_reason names which.  The result is always the feasible end of
+    the bracket, so achieved <= p0.
 
-    warm_start saves doubling calls and leaves the result as it is.  It is
-    a threshold >= q0 whose doubling points q0 * 2^j are known feasible at
-    n: q0 just shown feasible at n, or the uncapped threshold at a smaller
-    count (for t > 0 the exceedance falls as n grows).  The expansion
-    resumes above the largest such point, whose exceedance is computed only
-    if it is the result; if that exceeds p0, the search reruns cold.  It is
-    ignored below q0 and with cap_at_q0.
+    warm_start saves doubling calls: its doubling points q0 * 2^j are taken
+    as feasible at n unevaluated, so it is q0 just shown feasible at n or
+    the uncapped threshold at a smaller count (for t > 0 the exceedance
+    falls as n grows).  The expansion resumes above the largest such point;
+    if that point is the result and exceeds p0, the search reruns cold.  It
+    is ignored below q0 and with cap_at_q0.
     """
     n = _require_count("n", n)
     tol = _require_finite("tol", tol)
@@ -356,8 +356,12 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
 
     lo, ce_lo, doublings = spec.q0, None, 0
     if cap_at_q0 or warm_start is None or not warm_start >= spec.q0:
-        ce_lo = conditional_exceedance(spec, spec.q0, n, prior)
-        if ce_lo <= spec.p0 and cap_at_q0:
+        try:
+            ce_lo = conditional_exceedance(spec, spec.q0, n, prior)
+        except InfeasibleConditioningError:
+            if cap_at_q0:
+                raise
+        if cap_at_q0 and ce_lo <= spec.p0:
             return capped(ce_lo)
     else:
         # the doubling points up to warm_start are known feasible

@@ -204,7 +204,7 @@ def _acklam(p: float) -> float:
 
 
 # Elements of one slice of the array kernels that run on whole Monte Carlo
-# blocks (std_normal_quantile_log, paradox._exact_sum): their temporaries
+# blocks (std_normal_quantile_log, paradox._accepted): their temporaries
 # stay at a few arrays of this length.
 _ARRAY_SLICE = 8192
 

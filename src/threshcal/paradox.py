@@ -27,12 +27,12 @@ would, and only the trials between them evaluate it.
 A trial therefore costs a fixed number of draws whatever the count.  Every
 simulation runs over a fixed plan of _BLOCK_TRIALS-trial blocks: block b
 draws from the substream stream.generator(b) and reduces to integer counts
-or correctly-rounded partial sums.  The blocks are independent, so they
-run on every core the process may use (_WORKERS, read from its CPU
-affinity; there is no setting).  Every generator is made on the calling
-thread in block order, and the reductions are exact, so neither the
-thread count nor the order in which blocks finish can change a bit: the
-result is bit-identical for a fixed seed.
+or to float sums that depend only on the block's own values.  The blocks
+are independent, so they run on every core the process may use (_WORKERS,
+read from its CPU affinity; there is no setting).  Every generator is made
+on the calling thread in block order, and the block results are combined
+in block order, so neither the thread count nor the order in which blocks
+finish can change a bit: the result is bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -79,11 +79,6 @@ except AttributeError:   # no CPU affinity on this platform
 # Blocks whose generators (about 1 KB each) are made and held at once, so
 # the largest plan (2^20 blocks) does not hold a million of them.
 _WAVE_BLOCKS = 256
-
-# _exact_sum bins the values by frexp exponent plus the bias: 2^-1074 has
-# exponent -1073, the largest float 1024.
-_EXPONENT_BIAS = 1073
-_EXPONENT_BINS = _EXPONENT_BIAS + 1025
 
 # Floor on the standard exponential behind ln U.  The generator can return
 # exactly 0 (ln U = 0, an infinite maximum); every other value it returns
@@ -223,36 +218,6 @@ def _map_blocks(stream: SeededStream, trials: int,
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
     return results
-
-
-def _exact_sum(x: np.ndarray) -> float:
-    """math.fsum(x.tolist()), bit for bit, for up to 2^26 finite floats.
-
-    Each value is m 2^e with 1/2 <= |m| < 1 (frexp); its 53-bit integer
-    mantissa splits into two halves below 2^27.  Summing the halves per
-    exponent (bincount) is then exact in float64, and one Python int
-    carries the exact total to a single correctly-rounded division.  The
-    work runs in slices of _ARRAY_SLICE elements, in place, so its
-    temporaries stay small (in one pass, an expected-max block's peak
-    allocation would grow from 1.3 to 2.8 MB).  Where only math.fsum's
-    partial sums would overflow, the result is the finite total.
-    """
-    sum_high = np.zeros(_EXPONENT_BINS)
-    sum_low = np.zeros(_EXPONENT_BINS)
-    for start in range(0, x.size, _ARRAY_SLICE):
-        mant, exp = np.frexp(x[start:start + _ARRAY_SLICE])
-        np.ldexp(mant, 26, out=mant)
-        high = np.trunc(mant)
-        np.subtract(mant, high, out=mant)
-        np.ldexp(mant, 27, out=mant)
-        exp += _EXPONENT_BIAS
-        sum_high += np.bincount(exp, weights=high, minlength=_EXPONENT_BINS)
-        sum_low += np.bincount(exp, weights=mant, minlength=_EXPONENT_BINS)
-    total = 0
-    for k in np.flatnonzero((sum_high != 0.0) | (sum_low != 0.0)).tolist():
-        total += ((int(sum_high[k]) << 27) + int(sum_low[k])) << k
-    # value = (high 2^27 + low) 2^(e - 53), and bin k holds e = k - bias
-    return total / (1 << (_EXPONENT_BIAS + 53))
 
 
 def _log_uniform(gen: np.random.Generator, size: int) -> np.ndarray:
@@ -527,7 +492,8 @@ def expected_max_exact(n: int, sigma: float = 1.0) -> float:
 
 def expected_max_monte_carlo(n: int, sigma: float, trials: int,
                              stream: SeededStream) -> tuple[float, float]:
-    """Mean of per-trial maxima with its standard error."""
+    """Mean of per-trial maxima with its standard error; a block's sums are
+    ndarray.sum's (pairwise, not BLAS), added by math.fsum in block order."""
     n = _require_count("n", n)
     sigma = _require_positive("sigma", sigma)
     trials = _require_count("trials", trials)
@@ -538,9 +504,9 @@ def expected_max_monte_carlo(n: int, sigma: float, trials: int,
         log_u = _log_uniform(gen, size)
         log_u /= n
         m = std_normal_quantile_log(log_u)
-        total = _exact_sum(m)
+        total = float(m.sum())
         m *= m
-        return total, _exact_sum(m)
+        return total, float(m.sum())
 
     parts = _map_blocks(stream, trials, block)
     total = math.fsum(p[0] for p in parts)

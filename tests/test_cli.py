@@ -115,6 +115,15 @@ class TestCalibrateCommand:
         assert out == ""
         assert "infeasible" in err
 
+    def test_uncapped_search_doubles_past_unconditionable_q0(self, capsys, tmp_path):
+        # max <= q0 has negligible probability at this count, so q0 has no
+        # conditional exceedance; the search goes on upward from it
+        path = write_job(tmp_path, p0=0.03125, n=29739, cap_at_q0=False,
+                         prior={"type": "log_uniform", "sigma_lo": 0.5, "sigma_hi": 0.6})
+        code, out, _ = run_cli(capsys, "calibrate", "--job", path)
+        assert code == EXIT_OK
+        assert out.splitlines()[1].split(",")[0] == "2.28125"
+
     def test_malformed_job_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

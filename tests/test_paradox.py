@@ -11,7 +11,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from fractions import Fraction
 
 import bruteforce
 import mpmath
@@ -43,7 +42,6 @@ from threshcal.paradox import (
     DesignScenario,
     SimulationReport,
     _accepted,
-    _exact_sum,
     _log_uniform,
     _map_blocks,
     _screen_table,
@@ -463,8 +461,8 @@ class TestExpectedMax:
         sums, squares = [], []
         for block, size in enumerate([_BLOCK_TRIALS, 5]):
             m = std_normal_quantile_log(-stream.generator(block).standard_exponential(size) / 100)
-            sums.append(math.fsum(m))
-            squares.append(math.fsum(m * m))
+            sums.append(np.sum(m))
+            squares.append(np.sum(m * m))
         mean = math.fsum(sums) / trials
         var = (math.fsum(squares) - trials * mean * mean) / (trials - 1)
         assert a == (2.0 * mean, 2.0 * math.sqrt(var / trials))
@@ -770,65 +768,3 @@ class TestWorkerCountInvariance:
         plan = [(b,) for b in range(INVARIANCE_BLOCKS)]
         assert [path for _, _, path in calls] == plan * 10
         assert [row for _, row, _ in calls if row] == [(r,) for r in range(3) for _ in plan]
-
-
-def assert_same_float(actual, expected):
-    assert actual.hex() == expected.hex()
-
-
-def exact_oracle(values):
-    """math.fsum, or, where its partial sums overflow, the correctly-rounded
-    exact total (float() of a Fraction rounds correctly)."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return float(sum(map(Fraction, values)))
-
-
-class TestExactSum:
-    """_exact_sum is math.fsum bit for bit."""
-
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
-                    max_size=300))
-    def test_matches_fsum(self, values):
-        try:
-            expected = exact_oracle(values)
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                _exact_sum(np.array(values))
-            return
-        assert_same_float(_exact_sum(np.array(values)), expected)
-
-    @staticmethod
-    def _fixed_cases():
-        rng = np.random.default_rng(9)
-        tiny = 5e-324
-        big = rng.standard_normal(1_000) * 1e300
-        return {
-            "subnormals": rng.integers(-2**40, 2**40, 5_000) * tiny,
-            "mixed-signs": rng.standard_normal(10_000) * 10.0 ** rng.integers(-5, 5, 10_000),
-            "whole-exponent-range": np.ldexp(rng.uniform(-1.0, 1.0, 20_000),
-                                             rng.integers(-1074, 1000, 20_000)),
-            "heavy-cancellation": np.concatenate([big, [1.0, tiny, -1e-300], -big[::-1]]),
-            "all-zeros": np.zeros(1_000),
-            "negative-zeros": np.full(7, -0.0),
-            "one-element": np.array([-0.1]),
-            "one-subnormal": np.array([tiny]),
-            "a-block-of-maxima": std_normal_quantile_log(
-                -rng.standard_exponential(_BLOCK_TRIALS) / 40),
-            "a-block-of-squares": std_normal_quantile_log(
-                -rng.standard_exponential(_BLOCK_TRIALS) / 2) ** 2,
-            "halfway-rounding": np.array([1.0, 2.0**-53, 2.0**-106]),
-            "largest-floats": np.array([1.7e308, 1e308, -1.7e308]),
-            # one exponent whose high-half and low-half sums cancel: the
-            # total (2^27 - 1) 2^-53 is in neither half alone
-            "halves-that-cancel": np.ldexp([(2**25 + 1) * 2**27 + 5, -(2**52 + 6)], -53),
-        }
-
-    @pytest.mark.parametrize("name", [
-        "subnormals", "mixed-signs", "whole-exponent-range", "heavy-cancellation",
-        "all-zeros", "negative-zeros", "one-element", "one-subnormal", "a-block-of-maxima",
-        "a-block-of-squares", "halfway-rounding", "largest-floats", "halves-that-cancel"])
-    def test_fixed_cases(self, name):
-        x = self._fixed_cases()[name]
-        assert_same_float(_exact_sum(x), exact_oracle(x.tolist()))
