@@ -8,7 +8,6 @@ punishes whoever measures more than a standard requires.
 
 from .calibration import (
     CalibrationResult,
-    ComplianceDecision,
     SafetySpec,
     SigmaPrior,
     StandardRule,
@@ -16,7 +15,6 @@ from .calibration import (
     calibrate_schedule,
     calibrate_threshold,
     conditional_exceedance,
-    evaluate_compliance,
     marginal_exceedance,
     next_exceeds_max_probability,
     threshold_schedule,
@@ -26,7 +24,6 @@ from .errors import (
     DomainError,
     InfeasibilityError,
     InfeasibleConditioningError,
-    InsufficientDataError,
     IntegrationError,
     SolverError,
 )
@@ -60,14 +57,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationResult",
-    "ComplianceDecision",
     "ConfigurationError",
     "DesignScenario",
     "DomainError",
     "EULER_GAMMA",
     "InfeasibilityError",
     "InfeasibleConditioningError",
-    "InsufficientDataError",
     "IntegrationError",
     "ParadoxPoint",
     "SafetySpec",
@@ -82,7 +77,6 @@ __all__ = [
     "conditional_exceedance",
     "estimate_conditional_exceedance",
     "euler_gamma_partial",
-    "evaluate_compliance",
     "expected_max_asymptotic",
     "expected_max_exact",
     "expected_max_monte_carlo",

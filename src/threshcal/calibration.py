@@ -21,7 +21,8 @@ node's weight is computed once.  Calibration bisects on that ratio and
 only ever returns a threshold whose computed exceedance is at most p0.
 For t > 0 the exceedance falls as n grows, so an uncapped schedule row
 resumes the bracket doubling where the row before it left off
-(calibrate_threshold's warm_start), with the same result.
+(calibrate_threshold's warm_start): the doubling points it skips are taken
+as feasible without being evaluated.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import bisect as _bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .errors import (
     DomainError,
     InfeasibilityError,
     InfeasibleConditioningError,
-    InsufficientDataError,
     IntegrationError,
     SolverError,
 )
@@ -57,6 +57,7 @@ from .gaussian import (
 # Conditioning events with posterior-predictive probability below this are
 # treated as impossible rather than conditioned on.
 _LOG_UNDERFLOW_FLOOR = math.log(1e-300)
+_LOG_FLOAT_MAX = math.log(math.nextafter(math.inf, 0.0))   # math.exp overflows above it
 
 _MAX_EXPANSIONS = 64
 _MAX_CONTRACTIONS = 200
@@ -206,17 +207,6 @@ class CalibrationResult:
                 f"got {self.stop_reason!r}")
 
 
-@dataclass(frozen=True)
-class ComplianceDecision:
-    """Outcome of checking measurements against a standard."""
-
-    safe: bool
-    applied_n: int
-    applied_threshold: float
-    n_measurements: int
-    observed_max: float
-
-
 def next_exceeds_max_probability(n: int) -> float:
     """Probability that one further exchangeable continuous draw exceeds the
     maximum of n prior draws: exactly 1/(n+1)."""
@@ -226,7 +216,8 @@ def next_exceeds_max_probability(n: int) -> float:
 
 def marginal_exceedance(spec: SafetySpec, sigma: float) -> float:
     """P(next draw > q0) under a known scale: 1 - Phi(q0/sigma)."""
-    return std_normal_sf(spec.q0 / _require_positive("sigma", sigma))
+    z = spec.q0 / _require_positive("sigma", sigma)
+    return std_normal_sf(z) if z < math.inf else 0.0
 
 
 def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
@@ -241,7 +232,8 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
     each node's weight computed once and shared by both.  The weight is
     evaluated in log space and shifted by its maximum so the ratio survives
     draw counts up to 1e6; where it underflows to 0 the numerator's tail
-    probability is not computed.
+    probability is not computed.  A sigma_lo whose 1/sigma_lo overflows raises
+    DomainError.
     """
     threshold = _require_finite("threshold", threshold)
     n = _require_count("n", n)
@@ -250,6 +242,9 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
 
     t_lo = math.log(prior.sigma_lo)
     t_hi = math.log(prior.sigma_hi)
+    if -t_lo > _LOG_FLOAT_MAX:
+        raise DomainError(f"sigma_lo = {prior.sigma_lo!r} is too small: 1/sigma_lo "
+                          f"must be a finite float (sigma_lo >= about 5.6e-309)")
     # Per node e = 1/sigma; the log-weight n ln Phi(threshold e) is monotone
     # in ln(sigma), so its maximum, the shift, sits at an endpoint.
     exp, erfc, log1p = math.exp, math.erfc, math.log1p
@@ -453,28 +448,3 @@ def threshold_schedule(spec: SafetySpec, prior: SigmaPrior, n_list: Sequence[int
                        cap_at_q0: bool = True, tol: float = 1e-4) -> StandardRule:
     """The StandardRule of calibrate_schedule, without the per-row diagnostics."""
     return calibrate_schedule(spec, prior, n_list, cap_at_q0=cap_at_q0, tol=tol)[0]
-
-
-def evaluate_compliance(rule: StandardRule, measurements: Iterable[float]) -> ComplianceDecision:
-    """Apply a standard to observed measurements.
-
-    The threshold applied is the schedule entry for the measurement count,
-    falling back to the largest tabulated count below it.  Safe means the
-    observed maximum does not exceed that threshold.
-    """
-    values = np.asarray(list(measurements), dtype=float)
-    if values.size == 0:
-        raise InsufficientDataError("measurements must not be empty")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("measurements must all be finite")
-    n_prime = int(values.size)
-    if n_prime < rule.n_required:
-        raise InsufficientDataError(
-            f"{n_prime} measurements but the standard requires at least {rule.n_required}")
-    applied_n, applied_t = rule.entry_for(n_prime)
-    observed_max = float(values.max())
-    return ComplianceDecision(safe=observed_max <= applied_t,
-                              applied_n=applied_n,
-                              applied_threshold=applied_t,
-                              n_measurements=n_prime,
-                              observed_max=observed_max)

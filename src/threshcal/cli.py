@@ -67,7 +67,6 @@ from .errors import (
     DomainError,
     InfeasibilityError,
     InfeasibleConditioningError,
-    InsufficientDataError,
     IntegrationError,
     SolverError,
 )
@@ -445,7 +444,7 @@ def main(argv=None) -> int:
         else:
             code, text = cmd_simulate(_load_job(args), args.mode)
         _emit(text, args.out)
-    except (JobError, DomainError, ConfigurationError, InsufficientDataError) as exc:
+    except (JobError, DomainError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (InfeasibilityError, InfeasibleConditioningError, SolverError) as exc:

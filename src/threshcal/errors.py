@@ -30,9 +30,5 @@ class SolverError(RuntimeError):
     """Threshold bracketing failed to enclose a solution."""
 
 
-class InsufficientDataError(ValueError):
-    """Fewer measurements than the standard's required count."""
-
-
 class ConfigurationError(ValueError):
     """Inconsistent rule or scenario configuration."""

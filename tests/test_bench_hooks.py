@@ -53,7 +53,7 @@ def test_tracer_counts_stay_exact_with_block_threads(monkeypatch, capsys, tmp_pa
     the old count before it calls np.size, where the interpreter may switch
     threads and lose the other thread's update.  That needs a forced switch
     inside that call and has not been seen, but until the tracer counts
-    under a lock or per thread (ROADMAP item 3) a failure here can be that
+    under a lock or per thread (ROADMAP item 6) a failure here can be that
     race rather than a fault in the library."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(paradox, "_WORKERS", 2)

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from threshcal import calibration
 from threshcal.calibration import (
     CalibrationResult,
-    ComplianceDecision,
     SafetySpec,
     SigmaPrior,
     StandardRule,
@@ -32,7 +31,6 @@ from threshcal.calibration import (
     calibrate_schedule,
     calibrate_threshold,
     conditional_exceedance,
-    evaluate_compliance,
     marginal_exceedance,
     next_exceeds_max_probability,
     threshold_schedule,
@@ -42,7 +40,6 @@ from threshcal.errors import (
     DomainError,
     InfeasibilityError,
     InfeasibleConditioningError,
-    InsufficientDataError,
     IntegrationError,
     SolverError,
 )
@@ -131,6 +128,10 @@ class TestMarginalExceedance:
         expected = float(mpmath.quad(density, [2, mpmath.inf]))
         assert expected == pytest.approx(0.02275013194817921, abs=1e-15)
         assert marginal_exceedance(spec, 1.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_where_q0_over_sigma_overflows(self):
+        assert marginal_exceedance(DEMO, 1e-320) == 0.0
+        assert marginal_exceedance(SafetySpec(q0=1e300, p0=0.01), 1e-10) == 0.0
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(DomainError):
@@ -578,48 +579,22 @@ class TestAcceptanceProbability:
                 assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
-class TestEvaluateCompliance:
-    def _uncapped_rule(self):
-        return threshold_schedule(DEMO, DEMO_PRIOR, [40, 80, 160, 320, 640],
-                                  cap_at_q0=False)
+class TestEntryFor:
+    RULE = StandardRule(schedule=((40, 1.5), (80, 1.75), (160, 2.0)))
 
-    def test_far_below_is_safe(self):
-        rule = threshold_schedule(DEMO, DEMO_PRIOR, [40])
-        decision = evaluate_compliance(rule, [-0.5] * 40)
-        assert decision.safe is True
-        assert decision.applied_n == 40
+    def test_exact_count_gets_its_own_entry(self):
+        assert self.RULE.entry_for(80) == (80, 1.75)
 
-    def test_above_q0_is_unsafe_under_capped_schedule(self):
-        rule = threshold_schedule(DEMO, DEMO_PRIOR, [40, 80])
-        values = [0.0] * 79 + [DEMO.q0 + 0.1]
-        assert evaluate_compliance(rule, values).safe is False
+    def test_count_between_entries_gets_the_floor_entry(self):
+        assert self.RULE.entry_for(100) == (80, 1.75)
+        assert self.RULE.entry_for(159) == (80, 1.75)
 
-    def test_paradox_in_one_call_pair(self):
-        rule = self._uncapped_rule()
-        t40 = rule.threshold
-        t640 = dict(rule.schedule)[640]
-        fixed_rule = StandardRule(schedule=((40, t40),))
-        planted = 0.5 * (t40 + t640)  # between the two thresholds
-        values = [0.0] * 639 + [planted]
-        scheduled = evaluate_compliance(rule, values)
-        naive = evaluate_compliance(fixed_rule, values)
-        assert scheduled.safe is True
-        assert scheduled.applied_n == 640
-        assert naive.safe is False
-        assert naive.applied_threshold == t40
+    def test_count_past_the_last_entry_gets_the_last_entry(self):
+        assert self.RULE.entry_for(10**6) == (160, 2.0)
 
-    def test_fallback_to_largest_tabulated_below(self):
-        rule = self._uncapped_rule()
-        decision = evaluate_compliance(rule, [0.0] * 100)
-        assert decision.applied_n == 80
-        assert decision.applied_threshold == dict(rule.schedule)[80]
-
-    def test_insufficient_data(self):
-        rule = threshold_schedule(DEMO, DEMO_PRIOR, [40])
-        with pytest.raises(InsufficientDataError):
-            evaluate_compliance(rule, [0.0] * 39)
-        with pytest.raises(InsufficientDataError):
-            evaluate_compliance(rule, [])
+    def test_count_below_the_first_entry_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="no schedule entry"):
+            self.RULE.entry_for(39)
 
 
 class TestDomainTypes:

@@ -1,9 +1,13 @@
 """Tests for the command-line surface: job schema, CSV contracts, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from threshcal import calibration, cli
 from threshcal.calibration import calibrate_schedule
@@ -380,6 +384,43 @@ class TestFailureExitCodes:
         assert code == EXIT_INFEASIBLE
         assert out == ""
         assert "quadrature did not converge" in err
+
+
+# every positive finite float, subnormals included
+POSITIVE_FLOATS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+class TestMainNeverRaises:
+    """Every job the schema admits ends in a documented exit code, not a traceback."""
+
+    @pytest.mark.parametrize("command", [["calibrate"], ["schedule"], ["simulate", "paradox"]])
+    @pytest.mark.parametrize("sigma_lo,q0", [(4e-309, 0.5), (1e-320, 1.0)])
+    def test_too_small_sigma_lo_is_named(self, capsys, tmp_path, command, sigma_lo, q0):
+        # 1/sigma_lo overflows a float, so the quadrature over ln(sigma) cannot run
+        path = write_job(tmp_path, q0=q0, prior={"type": "log_uniform",
+                                                 "sigma_lo": sigma_lo, "sigma_hi": 10.0})
+        code, out, err = run_cli(capsys, *command, "--job", path)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert "sigma_lo" in err
+
+    @pytest.mark.parametrize("command", ["calibrate", "schedule"])
+    @settings(max_examples=60, deadline=None)
+    @given(q0=POSITIVE_FLOATS,
+           p0=st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+           scales=st.lists(POSITIVE_FLOATS, min_size=2, max_size=2).map(sorted),
+           n=st.integers(1, 2**20), cap=st.booleans())
+    @example(q0=0.5, p0=0.01, scales=[4e-309, 10.0], n=40, cap=True)
+    def test_exits_with_a_documented_code(self, tmp_path_factory, command, q0, p0,
+                                          scales, n, cap):
+        path = tmp_path_factory.getbasetemp() / f"never_raises_{command}.json"
+        path.write_text(json.dumps({"q0": q0, "p0": p0, "n": n, "cap_at_q0": cap,
+                                    "prior": {"type": "log_uniform", "sigma_lo": scales[0],
+                                              "sigma_hi": scales[1]}}))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--job", str(path)])
+        assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_INFEASIBLE)
 
 
 class TestArgumentHandling:
