@@ -366,6 +366,8 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
         hi = None
         trial = 2.0 * lo
         for _ in range(_MAX_EXPANSIONS - doublings):
+            if trial == math.inf:   # the doubling overflowed: no larger threshold
+                break
             ce_trial = conditional_exceedance(spec, trial, n, prior)
             if ce_trial > spec.p0:
                 hi = trial

@@ -27,10 +27,9 @@ trials = 100000, seed = 0.  Command-line flags override file fields.
 
 All randomness flows from the single job seed through fixed stream indices:
 verify uses stream 1 (one child per schedule row), simulate minimal_effort
-stream 2, simulate paradox stream 3 (one child per n_list row, whose
-simulated maxima are scored against both the fixed and the scheduled
-threshold), expected-max stream 4.  For a given release, repeated runs with
-the same inputs are byte-identical.
+stream 2, simulate paradox stream 3 (one child per n_list row, whose one
+generator draws both readings' counts), expected-max stream 4.  Repeated
+runs with the same inputs, release and numpy version are byte-identical.
 
 Tables go to standard output as CSV with a header row and 12-significant-
 digit numbers; diagnostics go to standard error.  Exit codes:

@@ -12,7 +12,7 @@ Non-Uniform Random Variate Generation, ch. 2), so every trial draws ln U
 once and compares its row maximum against cutoffs:
 
 * at a fixed scale, "max * sigma <= t" is exactly ln U <= n ln Phi(t/sigma),
-  one scalar cutoff per threshold;
+  one cutoff per threshold; a count of exceedances is one binomial draw;
 * "one further draw exceeds the maximum of n" is exactly n ln V > ln U for
   a second uniform V, a Bernoulli(1/(n+1)) event;
 * where the value of the maximum is needed (a random scale, a mean, a
@@ -24,15 +24,15 @@ kind, moved outward by a margin wider than the quantile's error, decide
 all but about 1/_SCREEN_CELLS of the trials exactly as the quantile
 would, and only the trials between them evaluate it.
 
-A trial therefore costs a fixed number of draws whatever the count.  Every
-simulation runs over a fixed plan of _BLOCK_TRIALS-trial blocks: block b
-draws from the substream stream.generator(b) and reduces to integer counts
-or to float sums that depend only on the block's own values.  The blocks
-are independent, so they run on every core the process may use (_WORKERS,
-read from its CPU affinity; there is no setting).  Every generator is made
-on the calling thread in block order, and the block results are combined
-in block order, so neither the thread count nor the order in which blocks
-finish can change a bit: the result is bit-identical for a fixed seed.
+A trial therefore costs a fixed number of draws whatever the count.  The
+other simulations run over a fixed plan of _BLOCK_TRIALS-trial blocks:
+block b draws from the substream stream.generator(b) and reduces to
+integer counts or to float sums that depend only on the block's own
+values.  The blocks are independent, so they run on every core the process
+may use (_WORKERS, from its CPU affinity; there is no setting).  Every
+generator is made on the calling thread in block order, and the results
+are combined in block order, so neither the thread count nor the order in
+which blocks finish can change a bit: the result is bit-identical per seed.
 """
 
 from __future__ import annotations
@@ -227,19 +227,20 @@ def _log_uniform(gen: np.random.Generator, size: int) -> np.ndarray:
     return np.negative(log_u, out=log_u)
 
 
-def _count_maxima_above(stream: SeededStream, trials: int,
-                        cutoffs: Sequence[float]) -> list[int]:
-    """Per cutoff c, the number of trials whose row maximum exceeds it.
-
-    Each trial draws one ln U, shared by every cutoff; with
-    c = n ln Phi(t/sigma), "ln U > c" is "max of n draws at scale sigma
-    exceeds t".
-    """
-    def block(gen, size):
-        log_u = _log_uniform(gen, size)
-        return tuple(int(np.count_nonzero(log_u > c)) for c in cutoffs)
-
-    return [sum(col) for col in zip(*_map_blocks(stream, trials, block))]
+def _draw_exceedance_counts(stream: SeededStream, trials: int,
+                            cutoffs: Sequence[float]) -> list[int]:
+    """Per cutoff c, a draw of the number of trials whose ln U exceeds it,
+    from stream.generator(), as if every cutoff scored the same ln U: with
+    p = 1 - e^c, in ascending order of c, Binomial(trials, p) and then
+    Binomial(previous count, p / previous p); equal cutoffs, equal counts."""
+    gen, counts = stream.generator(), [0] * len(cutoffs)
+    left, p_left = trials, 1.0
+    for i in sorted(range(len(cutoffs)), key=cutoffs.__getitem__):
+        p = -math.expm1(cutoffs[i])
+        if left and p < p_left:
+            left = int(gen.binomial(left, p / p_left))
+        counts[i], p_left = left, p
+    return counts
 
 
 def simulate_minimal_effort(n: int, trials: int, stream: SeededStream) -> SimulationReport:
@@ -285,7 +286,7 @@ def simulate_compliance(scenario: DesignScenario, rule_kind: str) -> SimulationR
 
     if scenario.mode == "fixed_sigma":
         cutoff = log_cdf_power(applied_t / scenario.sigma_true, scenario.n_performed)
-        rejected = _count_maxima_above(scenario.stream, scenario.trials, [cutoff])[0]
+        rejected = _draw_exceedance_counts(scenario.stream, scenario.trials, [cutoff])[0]
     else:
         n_req = rule.n_required
         if rule.threshold <= 0.0:
@@ -316,11 +317,11 @@ def paradox_curve(sigma_true: float, rule: StandardRule, n_list: Sequence[int],
     One simulated sample maximum at scale sigma_true per trial and count,
     scored against both the fixed threshold rule.threshold (which rejects
     more as n' grows: more chances to cross the same bar) and the
-    count-matched schedule entry.  The two readings share their draws, so
-    they coincide exactly where the thresholds do.  Every count must lie
-    within the schedule's tabulated range.
+    count-matched schedule entry.  The two counts are drawn jointly, as if
+    from shared maxima, so they coincide exactly where the thresholds do.
+    Every count must lie within the schedule's tabulated range.
 
-    Row r draws from stream.child(r).
+    Row r draws from the one generator stream.child(r).generator().
     """
     sigma_true = _require_positive("sigma_true", sigma_true)
     trials = _require_count("trials", trials)
@@ -336,10 +337,8 @@ def paradox_curve(sigma_true: float, rule: StandardRule, n_list: Sequence[int],
     for row, n_prime in enumerate(counts):
         thresholds = (rule.threshold, rule.entry_for(n_prime)[1])
         cutoffs = [log_cdf_power(t / sigma_true, n_prime) for t in thresholds]
-        fixed, sched = _count_maxima_above(stream.child(row), trials, cutoffs)
-        points.append(ParadoxPoint(n_prime=n_prime,
-                                   rejection_fixed=fixed / trials,
-                                   rejection_schedule=sched / trials))
+        fixed, sched = _draw_exceedance_counts(stream.child(row), trials, cutoffs)
+        points.append(ParadoxPoint(n_prime, fixed / trials, sched / trials))
     return points
 
 

@@ -26,7 +26,6 @@ from threshcal.calibration import (
 from threshcal.cli import main
 from threshcal.gaussian import SeededStream, log_cdf_power, std_normal_quantile
 from threshcal.paradox import (
-    _BLOCK_TRIALS,
     EULER_GAMMA,
     estimate_conditional_exceedance,
     euler_gamma_partial,
@@ -205,9 +204,9 @@ def test_criterion_8_euler_constant():
 
 
 def test_criterion_9_determinism(tmp_path, capsys):
-    """Every command is byte-identical under reruns, and Monte Carlo results
-    are fixed by the block plan: block b of row r draws from
-    stream.child(r).generator(b)."""
+    """Every command is byte-identical under reruns, and the paradox curve
+    follows its recipe: row r draws its nested binomial counts from
+    stream.child(r).generator()."""
     job = tmp_path / "job.json"
     job.write_text('{"n_list": [40, 80, 160], "trials": 20000, "seed": 0}')
     sched = tmp_path / "schedule.csv"
@@ -232,10 +231,11 @@ def test_criterion_9_determinism(tmp_path, capsys):
             assert code_a == code_b == 0, f"{argv} exited {code_a}/{code_b}"
             assert out_a == out_b, f"{argv} not byte-identical across reruns"
 
-        # the paradox curve recomputed by hand from the per-block generators,
-        # at a trial count that leaves a partial last block
-        trials = 2 * _BLOCK_TRIALS + 999
-        sizes = [_BLOCK_TRIALS, _BLOCK_TRIALS, 999]
+        # the paradox curve recomputed by hand: per row, the fixed count is
+        # Binomial(trials, p_fixed) and the schedule count, nested in it,
+        # Binomial(fixed, p_sched / p_fixed), with no draw where the two
+        # thresholds coincide (row 0)
+        trials = 123_457
         stream = SeededStream(seed=0, stream_index=3)
         rule = StandardRule(schedule=((40, 0.8), (80, 0.9)))
         sigma_true = 0.3
@@ -243,14 +243,13 @@ def test_criterion_9_determinism(tmp_path, capsys):
         assert points == paradox_curve(sigma_true, rule, [40, 80],
                                        trials, stream)
         for row, point in enumerate(points):
-            cutoffs = [log_cdf_power(t / sigma_true, point.n_prime)
-                       for t in (rule.threshold, rule.entry_for(point.n_prime)[1])]
-            counts = [0, 0]
-            for block, size in enumerate(sizes):
-                log_u = -stream.child(row).generator(block).standard_exponential(size)
-                for i, cutoff in enumerate(cutoffs):
-                    counts[i] += int(np.count_nonzero(log_u > cutoff))
+            p_fixed, p_sched = [-math.expm1(log_cdf_power(t / sigma_true, point.n_prime))
+                                for t in (rule.threshold, rule.entry_for(point.n_prime)[1])]
+            gen = stream.child(row).generator()
+            fixed = int(gen.binomial(trials, p_fixed))
+            sched = fixed if p_sched == p_fixed else int(gen.binomial(fixed, p_sched / p_fixed))
+            assert (p_sched == p_fixed) == (row == 0)
             assert (point.rejection_fixed, point.rejection_schedule) == \
-                (counts[0] / trials, counts[1] / trials)
-    print(f"PASS criterion 9: {len(commands)} commands byte-identical, block-plan "
-          f"reductions digit-identical ({clock.elapsed:.1f}s)")
+                (fixed / trials, sched / trials)
+    print(f"PASS criterion 9: {len(commands)} commands byte-identical, paradox rows "
+          f"digit-identical to the nested-binomial recipe ({clock.elapsed:.1f}s)")

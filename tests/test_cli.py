@@ -405,6 +405,18 @@ class TestMainNeverRaises:
         assert "sigma_lo" in err
 
     @pytest.mark.parametrize("command", ["calibrate", "schedule"])
+    def test_doubling_past_the_largest_float_is_a_solver_error(self, capsys, tmp_path,
+                                                                command):
+        # uncapped, the exceedance stays below p0 at every finite threshold
+        # from q0 = 1e300 up, so the bracket's doubling runs out of floats
+        path = write_job(tmp_path, q0=1e300, cap_at_q0=False,
+                         prior={"type": "log_uniform", "sigma_lo": 1e-10, "sigma_hi": 1e-9})
+        code, out, err = run_cli(capsys, command, "--job", path)
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert "bracket expansion failed" in err
+
+    @pytest.mark.parametrize("command", ["calibrate", "schedule"])
     @settings(max_examples=60, deadline=None)
     @given(q0=POSITIVE_FLOATS,
            p0=st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),

@@ -3,7 +3,10 @@
 The expected exit code, stdout and stderr of every case are stored in
 golden_cli.json.  They were recorded at commit 72f3a2e, before a capped
 calibration stopped searching for the root above q0, so these tests pin
-that the shortcut changes no printed byte.  The jobs are the schedule-sweep
+that the shortcut changes no printed byte.  The six `simulate paradox`
+cases were re-recorded once, when each paradox row became one nested
+binomial draw (a new stream format for that command only); the
+`calibrate` and `schedule` cases are the original recording.  The jobs are the schedule-sweep
 benchmark's (the default prior, n = 40), capped and uncapped at three
 p0, with its n_list thinned to six counts and few Monte Carlo trials to
 keep the run short.  `calibrate` also runs at n = 20480, where the capped

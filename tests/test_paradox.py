@@ -6,6 +6,7 @@ the simulations, and the simulations in turn cross-check the calibration
 quadrature through an independent sampling route.
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -16,7 +17,7 @@ import bruteforce
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshcal import paradox
@@ -42,6 +43,7 @@ from threshcal.paradox import (
     DesignScenario,
     SimulationReport,
     _accepted,
+    _draw_exceedance_counts,
     _log_uniform,
     _map_blocks,
     _screen_table,
@@ -198,6 +200,45 @@ class TestParadoxCurve:
         with pytest.raises(ConfigurationError):
             paradox_curve(0.5, uncapped_rule, [40, 1280],
                           trials=10, stream=SeededStream(seed=0))
+
+
+@st.composite
+def nested_schedules(draw):
+    """Up to five counts in [1, 2**36] with non-decreasing thresholds, some
+    of them equal to the first."""
+    counts = sorted(draw(st.sets(st.integers(1, 2**36), min_size=1, max_size=5)))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.01, 0.5, 3.0]),
+                          min_size=len(counts) - 1, max_size=len(counts) - 1))
+    thresholds = itertools.accumulate([draw(st.floats(-3.0, 5.0)), *steps])
+    return StandardRule(tuple(zip(counts, thresholds)))
+
+
+TRIAL_COUNTS = st.integers(1, 2**36) | st.just(2**36)
+
+
+class TestNestedCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(rule=nested_schedules(), sigma=st.floats(0.05, 5.0), trials=TRIAL_COUNTS,
+           seed=st.integers(0, 2**64 - 1))
+    def test_schedule_reading_never_rejects_more(self, rule, sigma, trials, seed):
+        counts = [n for n, _ in rule.schedule]
+        points = paradox_curve(sigma, rule, counts, trials, SeededStream(seed, 3))
+        for point in points:
+            rates = (point.rejection_fixed, point.rejection_schedule)
+            fixed, sched = (round(rate * trials) for rate in rates)
+            assert (fixed / trials, sched / trials) == rates
+            assert 0 <= sched <= fixed <= trials
+            if rule.entry_for(point.n_prime)[1] == rule.threshold:
+                assert sched == fixed
+
+    @settings(max_examples=60, deadline=None)
+    @given(cutoffs=st.lists(st.floats(max_value=0.0, allow_nan=False), min_size=1, max_size=5),
+           trials=TRIAL_COUNTS, seed=st.integers(0, 2**64 - 1))
+    def test_counts_are_nested_integers_in_input_order(self, cutoffs, trials, seed):
+        counts = _draw_exceedance_counts(SeededStream(seed), trials, cutoffs)
+        assert all(type(k) is int and 0 <= k <= trials for k in counts)
+        for (c, k), (c2, k2) in itertools.product(zip(cutoffs, counts), repeat=2):
+            assert c > c2 or k >= k2   # a higher cutoff never counts more
 
 
 class TestEstimateConditionalExceedance:
@@ -367,14 +408,16 @@ class TestAcceptanceScreen:
 
 
 # tracemalloc peak of one _BLOCK_TRIALS block on one thread, in MiB: the
-# value measured with numpy 2.4 (in parentheses) plus about 10%.
+# value measured with numpy 2.4 (in parentheses) plus about 10%.  The
+# fixed-scale counts draw no trials, so their bound is a small constant,
+# far below one block's arrays (0.5 MiB per float array).
 BLOCK_PEAK_MIB = {
     "estimate_conditional_exceedance": 1.45,   # (1.32)
     "estimate_conditional_exceedance-point": 1.45,   # (1.32)
     "simulate_minimal_effort": 1.17,   # (1.07)
-    "simulate_compliance-fixed_sigma": 0.62,   # (0.57)
+    "simulate_compliance-fixed_sigma": 0.05,   # (0.002)
     "simulate_compliance-minimal_effort": 1.94,   # (1.76)
-    "paradox_curve": 0.62,   # (0.57)
+    "paradox_curve": 0.05,   # (0.002)
     "expected_max_monte_carlo": 1.39,   # (1.26)
 }
 
@@ -588,6 +631,11 @@ class TestBruteForceEquivalence:
                          binomial_se(p.rejection_fixed, LIBRARY_TRIALS), fixed)
             assert agree(p.rejection_schedule,
                          binomial_se(p.rejection_schedule, LIBRARY_TRIALS), sched)
+            # the share the fixed threshold rejects and the scheduled one
+            # accepts: the brute force scores both on the same samples
+            gap, oracle_gap = p.rejection_fixed - p.rejection_schedule, fixed.value - sched.value
+            assert agree(gap, binomial_se(gap, LIBRARY_TRIALS), bruteforce.Estimate(
+                oracle_gap, binomial_se(oracle_gap, BRUTE_TRIALS)))
 
     @pytest.mark.parametrize("n", COUNTS)
     def test_conditional_exceedance(self, n):
@@ -763,8 +811,9 @@ class TestWorkerCountInvariance:
         monkeypatch.setattr(paradox, "_WAVE_BLOCKS", 3)
         every_entry_point(wide_rule)
         assert {ident for ident, _, _ in calls} == {threading.get_ident()}
-        # ten runs of the block plan: seven simulations and three curve rows,
-        # row r on stream.child(r)
+        # five runs of the block plan; the two fixed_sigma simulations and
+        # the three curve rows make one generator each, row r on stream.child(r)
         plan = [(b,) for b in range(INVARIANCE_BLOCKS)]
-        assert [path for _, _, path in calls] == plan * 10
-        assert [row for _, row, _ in calls if row] == [(r,) for r in range(3) for _ in plan]
+        assert [(row, path) for _, row, path in calls] == (
+            [((), b) for b in plan] + [((), ())] * 2 + [((), b) for b in plan * 2]
+            + [((r,), ()) for r in range(3)] + [((), b) for b in plan * 2])
