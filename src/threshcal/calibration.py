@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -115,12 +113,6 @@ class SigmaPrior:
     @classmethod
     def point(cls, sigma: float) -> "SigmaPrior":
         return cls("point", sigma, sigma)
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw scales from the prior."""
-        if self.kind == "point":
-            return np.full(count, self.sigma_lo)
-        return np.exp(rng.uniform(math.log(self.sigma_lo), math.log(self.sigma_hi), size=count))
 
 
 @dataclass(frozen=True)
@@ -220,6 +212,13 @@ def marginal_exceedance(spec: SafetySpec, sigma: float) -> float:
     return std_normal_sf(z) if z < math.inf else 0.0
 
 
+def _require_invertible_sigma_lo(prior: SigmaPrior) -> None:
+    """DomainError naming sigma_lo where a log-uniform prior's 1/sigma_lo overflows."""
+    if prior.kind == "log_uniform" and -math.log(prior.sigma_lo) > _LOG_FLOAT_MAX:
+        raise DomainError(f"sigma_lo = {prior.sigma_lo!r} is too small: 1/sigma_lo "
+                          f"must be a finite float (sigma_lo >= about 5.6e-309)")
+
+
 def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
                            prior: SigmaPrior) -> float:
     """P(next draw > q0 | max of n draws <= threshold), prior-averaged.
@@ -232,19 +231,17 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
     each node's weight computed once and shared by both.  The weight is
     evaluated in log space and shifted by its maximum so the ratio survives
     draw counts up to 1e6; where it underflows to 0 the numerator's tail
-    probability is not computed.  A sigma_lo whose 1/sigma_lo overflows raises
-    DomainError.
+    probability is not computed.  A log-uniform sigma_lo whose 1/sigma_lo
+    overflows raises DomainError.
     """
     threshold = _require_finite("threshold", threshold)
     n = _require_count("n", n)
     if prior.kind == "point":
         return marginal_exceedance(spec, prior.sigma_lo)
 
+    _require_invertible_sigma_lo(prior)
     t_lo = math.log(prior.sigma_lo)
     t_hi = math.log(prior.sigma_hi)
-    if -t_lo > _LOG_FLOAT_MAX:
-        raise DomainError(f"sigma_lo = {prior.sigma_lo!r} is too small: 1/sigma_lo "
-                          f"must be a finite float (sigma_lo >= about 5.6e-309)")
     # Per node e = 1/sigma; the log-weight n ln Phi(threshold e) is monotone
     # in ln(sigma), so its maximum, the shift, sits at an endpoint.
     exp, erfc, log1p = math.exp, math.erfc, math.log1p
@@ -305,7 +302,8 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     stop_reason "capped", 0 iterations and bracket (q0, q0), and the root
     above q0 is not searched for.  Ask for it with cap_at_q0=False; that
     raises SolverError where the constraint holds at every threshold tried
-    (always, under a point prior).
+    (always, under a point prior).  A log-uniform sigma_lo whose 1/sigma_lo
+    overflows raises DomainError first, whatever q0 and p0 are.
 
     Otherwise root-finding is bisection on the rising branch of the threshold
     map, anchored at q0: the bracket expands upward by doubling while the
@@ -334,10 +332,11 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
         return CalibrationResult(threshold=spec.q0, achieved=achieved, iterations=0,
                                  bracket=(spec.q0, spec.q0), stop_reason="capped")
 
+    _require_invertible_sigma_lo(prior)
     marg_lo = marginal_exceedance(spec, prior.sigma_lo)
     if marg_lo > spec.p0:
         raise InfeasibilityError(
-            f"infeasible: even the smallest prior scale sigma_lo = {prior.sigma_lo} "
+            f"even the smallest prior scale sigma_lo = {prior.sigma_lo} "
             f"gives exceedance {marg_lo:.6g} > p0 = {spec.p0:.6g}; "
             f"no test threshold can fix that")
 
@@ -394,7 +393,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             trial *= 0.5
         if lo is None:
             raise InfeasibilityError(
-                f"infeasible: conditional exceedance stays above p0 = {spec.p0} "
+                f"conditional exceedance stays above p0 = {spec.p0} "
                 f"for every threshold below q0 = {spec.q0}; prior mass up to "
                 f"sigma_hi = {prior.sigma_hi} is too heavy for n = {n}")
 

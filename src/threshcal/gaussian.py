@@ -203,9 +203,8 @@ def _acklam(p: float) -> float:
     return _acklam_central(p - 0.5)
 
 
-# Elements of one slice of the array kernels that run on whole Monte Carlo
-# blocks (std_normal_quantile_log, paradox._accepted): their temporaries
-# stay at a few arrays of this length.
+# Elements of one slice of std_normal_quantile_log, which runs on whole
+# Monte Carlo blocks: its temporaries stay at a few arrays of this length.
 _ARRAY_SLICE = 8192
 
 

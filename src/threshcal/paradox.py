@@ -21,11 +21,14 @@ once and compares its row maximum against cutoffs:
 At a random scale, estimate_conditional_exceedance squeezes that
 quantile (Marsaglia 1977): per cell of ln sigma, two cutoffs of the first
 kind, moved outward by a margin wider than the quantile's error, decide
-all but about 1/_SCREEN_CELLS of the trials exactly as the quantile
-would, and only the trials between them evaluate it.
+all but about 1/_SCREEN_CELLS of the trials as the quantile would, and two
+bounds on 1 - Phi(q0 / sigma) decide most of the kept trials' next draws.
+The decided trials are counted by binomial draws per cell (thinning), and
+only the trials between the bounds are simulated, so a row's cost grows
+with that undecided share of its trials, not with all of them.
 
-A trial therefore costs a fixed number of draws whatever the count.  The
-other simulations run over a fixed plan of _BLOCK_TRIALS-trial blocks:
+Every simulated trial costs a fixed number of draws whatever the count.
+Simulated trials run over a fixed plan of _BLOCK_TRIALS-trial blocks:
 block b draws from the substream stream.generator(b) and reduces to
 integer counts or to float sums that depend only on the block's own
 values.  The blocks are independent, so they run on every core the process
@@ -48,7 +51,7 @@ import numpy as np
 from .calibration import SafetySpec, SigmaPrior, StandardRule
 from .errors import ConfigurationError, DomainError, InfeasibleConditioningError
 from .gaussian import (
-    _ARRAY_SLICE,
+    _INV_SQRT2,
     SeededStream,
     _log_std_normal_cdf,
     _require_count,
@@ -96,7 +99,8 @@ _SCREEN_REL_MARGIN = 1e-6
 _SCREEN_ABS_MARGIN = 1e-12
 
 # |x| is clipped here before the bounds are taken: n ln Phi is already
-# -inf at -_SCREEN_X_CLIP and 0 at +_SCREEN_X_CLIP, so no bound changes.
+# -inf at -_SCREEN_X_CLIP and 0 at +_SCREEN_X_CLIP, and 1 - Phi is 0 there,
+# so no bound changes.
 _SCREEN_X_CLIP = 1e300
 
 # Below this scale peak * sigma can round to a subnormal, whose rounding
@@ -181,7 +185,13 @@ def _block_plan(trials: int) -> list[int]:
 
 def _map_blocks(stream: SeededStream, trials: int,
                 block_fn: Callable[[np.random.Generator, int], tuple]) -> list[tuple]:
-    """block_fn(stream.generator(b), size) for every block b of the plan, in order.
+    """block_fn(stream.generator(b), size) for every block b of the plan, in order."""
+    return _map_plan(stream, _block_plan(trials), block_fn)
+
+
+def _map_plan(stream: SeededStream, plan: Sequence,
+              block_fn: Callable[[np.random.Generator, object], tuple]) -> list[tuple]:
+    """block_fn(stream.generator(b), plan[b]) for every block b, in order.
 
     The generators are made here, on the calling thread, in block order,
     _WAVE_BLOCKS at a time.  Each wave's blocks then run on
@@ -193,7 +203,6 @@ def _map_blocks(stream: SeededStream, trials: int,
     lowest failing block is raised, which is the one a plain loop would
     raise.
     """
-    plan = _block_plan(trials)
     results: list = [None] * len(plan)
     failures: list[tuple[int, BaseException]] = []
 
@@ -342,9 +351,9 @@ def paradox_curve(sigma_true: float, rule: StandardRule, n_list: Sequence[int],
     return points
 
 
-def _screen_table(threshold: float, n: int, prior: SigmaPrior
-                  ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Bounds on ln U that decide "max of n at scale sigma <= threshold".
+def _screen_table(q0: float, threshold: float, n: int, prior: SigmaPrior
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell of ln sigma, bounds that decide most trials of a verify row.
 
     The prior's range [ln sigma_lo, ln sigma_hi] splits into _SCREEN_CELLS
     equal cells (one where the range is a single float, as for a point
@@ -353,59 +362,69 @@ def _screen_table(threshold: float, n: int, prior: SigmaPrior
     gives the smaller x, hence the min and max.  With the margin
     m(x) = 1e-6 |x| + 1e-12,
 
-        low[k]  = n ln Phi(min(x_k, x_k+1) - m)   (ln U <= low[k]: accepted)
-        high[k] = n ln Phi(max(x_k, x_k+1) + m)   (ln U > high[k]: rejected)
+        low[k]  = n ln Phi(min(x_k, x_k+1) - m)   (ln U <= low[k]: kept)
+        high[k] = n ln Phi(max(x_k, x_k+1) + m)   (ln U > high[k]: dropped)
 
-    Returns (ln sigma_lo, cells per unit of ln sigma, low, high).  A prior
-    reaching below _SCREEN_MIN_SIGMA gets one cell that decides nothing.
+    and, with y = q0 / sigma and sf(y) = 1 - Phi(y),
+
+        s_lo[k] = sf(max(y_k, y_k+1) + m)   (a uniform V < s_lo[k]: exceeds q0)
+        s_hi[k] = sf(min(y_k, y_k+1) - m)   (V >= s_hi[k]: does not)
+
+    Returns (edges, low, high, s_lo, s_hi), with the cells + 1 edges in
+    ln sigma.  A prior reaching below _SCREEN_MIN_SIGMA gets one cell whose
+    ln U bounds decide nothing.
     """
     v_lo, v_hi = math.log(prior.sigma_lo), math.log(prior.sigma_hi)
-    if prior.sigma_lo < _SCREEN_MIN_SIGMA:
-        return v_lo, 0.0, np.array([-math.inf]), np.array([math.inf])
-    cells = _SCREEN_CELLS if v_hi > v_lo else 1
+    unscreened = prior.sigma_lo < _SCREEN_MIN_SIGMA
+    cells = _SCREEN_CELLS if v_hi > v_lo and not unscreened else 1
     edges = np.linspace(v_lo, v_hi, cells + 1)
-    with np.errstate(over="ignore"):   # to +-inf, the bounds' own limits
-        x = np.clip(threshold * np.exp(-edges), -_SCREEN_X_CLIP, _SCREEN_X_CLIP)
-        x_min = np.minimum(x[:-1], x[1:])
-        x_max = np.maximum(x[:-1], x[1:])
-        x_min -= _SCREEN_REL_MARGIN * np.abs(x_min) + _SCREEN_ABS_MARGIN
-        x_max += _SCREEN_REL_MARGIN * np.abs(x_max) + _SCREEN_ABS_MARGIN
-        low = np.array([_log_std_normal_cdf(v) for v in x_min.tolist()]) * n
-        high = np.array([_log_std_normal_cdf(v) for v in x_max.tolist()]) * n
-    scale = cells / (v_hi - v_lo) if cells > 1 else 0.0
-    return v_lo, scale, low, high
+    with np.errstate(over="ignore"):   # to +inf, the bounds' own limit
+        inverse = np.exp(-edges)
+        y_min, y_max = _widened(q0 * inverse)
+        if unscreened:
+            low, high = np.array([-math.inf]), np.array([math.inf])
+        else:
+            x_min, x_max = _widened(threshold * inverse)
+            low = np.array([_log_std_normal_cdf(v) for v in x_min]) * n
+            high = np.array([_log_std_normal_cdf(v) for v in x_max]) * n
+    s_lo = np.array([0.5 * math.erfc(v * _INV_SQRT2) for v in y_max])
+    s_hi = np.array([0.5 * math.erfc(v * _INV_SQRT2) for v in y_min])
+    return edges, low, high, s_lo, s_hi
 
 
-def _accepted(log_u: np.ndarray, sigma: np.ndarray, threshold: float, n: int,
-              table: tuple[float, float, np.ndarray, np.ndarray]) -> np.ndarray:
-    """std_normal_quantile_log(log_u / n) * sigma <= threshold, bit for bit.
+def _widened(x: np.ndarray) -> tuple[list[float], list[float]]:
+    """Per cell, the smaller of x at its two edges less the margin, and the
+    larger plus it.  |x| is clipped to _SCREEN_X_CLIP first."""
+    x = np.clip(x, -_SCREEN_X_CLIP, _SCREEN_X_CLIP)
+    x_min = np.minimum(x[:-1], x[1:])
+    x_max = np.maximum(x[:-1], x[1:])
+    x_min -= _SCREEN_REL_MARGIN * np.abs(x_min) + _SCREEN_ABS_MARGIN
+    x_max += _SCREEN_REL_MARGIN * np.abs(x_max) + _SCREEN_ABS_MARGIN
+    return x_min.tolist(), x_max.tolist()
 
-    A trial falls in cell int((ln sigma - ln sigma_lo) * scale) of the
-    _screen_table bounds: int() truncates a rounding just below
-    ln sigma_lo to cell 0, and np.take's clip mode maps ln sigma_hi (and a
-    rounding just past it) to the last cell.  The bounds
-    decide every trial outside (low, high] of its cell; the quantile runs
-    only on the rest.  The work runs in _ARRAY_SLICE slices, so the
-    temporaries beyond the two boolean results stay slice-sized.
+
+def _share(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
+    """part / whole as a probability, 0 where whole is 0."""
+    share = np.divide(part, whole, out=np.zeros_like(part), where=whole > 0.0)
+    return np.clip(share, 0.0, 1.0, out=share)
+
+
+def _map_cells(stream: SeededStream, counts: np.ndarray,
+               block_fn: Callable[[np.random.Generator, np.ndarray, int], tuple]) -> list[tuple]:
+    """block_fn(gen, block counts, size) over counts[k] trials in each cell k.
+
+    The trials lie cell after cell and run in blocks of _BLOCK_TRIALS, block
+    b on stream.generator(b) (_map_plan); the block counts are how many of
+    the block's trials each cell holds.
     """
-    v_lo, scale, low, high = table
-    accepted = np.empty(log_u.size, dtype=bool)
-    undecided = np.empty(log_u.size, dtype=bool)
-    bound = np.empty(min(log_u.size, _ARRAY_SLICE))
-    for start in range(0, log_u.size, _ARRAY_SLICE):
-        part = slice(start, start + _ARRAY_SLICE)
-        lu, acc, und = log_u[part], accepted[part], undecided[part]
-        b = bound[:lu.size]
-        cell = np.log(sigma[part])
-        cell -= v_lo
-        cell *= scale
-        cell = cell.astype(np.intp)
-        np.less_equal(lu, np.take(low, cell, out=b, mode="clip"), out=acc)
-        np.less_equal(lu, np.take(high, cell, out=b, mode="clip"), out=und)
-        und &= ~acc
-    rows = np.flatnonzero(undecided)
-    accepted[rows] = std_normal_quantile_log(log_u[rows] / n) * sigma[rows] <= threshold
-    return accepted
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    total = int(bounds[-1])
+
+    def block(gen, start):
+        stop = min(start + _BLOCK_TRIALS, total)
+        return block_fn(gen, np.diff(np.clip(bounds, start, stop)), stop - start)
+
+    return _map_plan(stream, range(0, total, _BLOCK_TRIALS), block)
 
 
 def estimate_conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
@@ -421,37 +440,99 @@ def estimate_conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
     kept runs.
 
     A run is kept when std_normal_quantile_log(ln U / n) * sigma <=
-    threshold.  That test is decided first against a table of bounds on
-    ln U, per cell of ln sigma (_screen_table): ln U at or below the cell's
-    low bound is kept, above its high bound dropped, and only the runs
-    between the two, about 1/_SCREEN_CELLS of them, evaluate the quantile.
-    The bounds are n ln Phi at x = threshold / sigma, moved outward by the
-    margin m(x) = 1e-6 |x| + 1e-12.  They decide a run as the computed test
-    does under one condition: read on the scale of x, the computed test
-    "peak <= x" must differ from the true "max <= x" by less than m(x).
-    It holds with room to spare: Acklam's error is 1.2e-9 |x|, and the
-    rounding of exp, log, ln U / n, the bounds and peak * sigma adds a few
-    1e-16 (|x| + 1).  A prior reaching below _SCREEN_MIN_SIGMA, where
-    peak * sigma can round to a subnormal with an absolute error, is never
-    screened.  So every kept run is the one the quantile alone would keep,
-    and the result is bit for bit the unscreened one.
+    threshold, and its next draw exceeds q0 with probability
+    sf(q0 / sigma) = 1 - Phi(q0 / sigma).  Only the runs that
+    _screen_table's bounds leave undecided are simulated.  The rest are
+    counted by binomial draws from stream.generator() (thinning, Devroye
+    1986), which keeps the joint law of (kept, exceed) that of simulating
+    every run:
+
+    * the trials fall into the cells as Multinomial(trials, 1 / cells), the
+      probability the log-uniform prior gives each cell;
+    * of the m_k trials in cell k, Binomial(m_k, e^low[k]) are kept for
+      sure, and of the rest Binomial(., (e^top - e^low[k]) / (1 - e^low[k]))
+      are undecided, with top = min(high[k], 0); the others are dropped;
+    * of the K sure ones, Binomial(K, s_lo[k]) exceed for sure, and of the
+      rest Binomial(., (s_hi[k] - s_lo[k]) / (1 - s_lo[k])) may exceed.
+
+    An undecided run draws ln U from the exponential law truncated to
+    (low[k], top] (through log1p and expm1, so ln U keeps its digits near
+    0) and sigma log-uniform within its cell (sigma_lo itself for a point
+    prior); the quantile test keeps it, and a normal draw times sigma
+    exceeds q0 or not.  Within a cell a sure run's scale is independent of
+    its being kept, so a run that may exceed draws a fresh sigma in its
+    cell and V uniform on [s_lo[k], s_hi[k]), and exceeds when
+    V < sf(q0 / sigma).  The undecided runs run in _BLOCK_TRIALS blocks on
+    stream.child(0), the runs that may exceed on stream.child(1).
+
+    The bounds hold for every scale a cell's draws can reach.  For sf the
+    margin m(y) = 1e-6 y + 1e-12 dwarfs the rounding of q0 / sigma and
+    erfc.  For the quantile test it needs one condition: read on the scale
+    of x, the computed test "peak <= x" must differ from the true
+    "max <= x" by less than m(x).  It holds with room to spare: Acklam's
+    error is 1.2e-9 |x|, and the rounding of exp, log, ln U / n, the bounds
+    and peak * sigma adds a few 1e-16 (|x| + 1).  A prior reaching below
+    _SCREEN_MIN_SIGMA, where peak * sigma can round to a subnormal with an
+    absolute error, is never screened: all its runs are undecided.
+    Otherwise about 1/_SCREEN_CELLS of the runs are, and a row costs about
+    that share of simulating every run.
     """
     threshold = _require_finite("threshold", threshold)
     n = _require_count("n", n)
     trials = _require_count("trials", trials)
-    table = _screen_table(threshold, n, prior)
+    edges, low, high, s_lo, s_hi = _screen_table(spec.q0, threshold, n, prior)
+    top = np.minimum(high, 0.0)
+    with np.errstate(invalid="ignore"):   # nan only in cells no trial reaches
+        depth = -np.expm1(low - top)   # 1 - P(ln U <= low | ln U <= top)
 
-    def block(gen, size):
-        sigma = prior.sample(gen, size)
-        accepted = _accepted(_log_uniform(gen, size), sigma, threshold, n, table)
+    gen = stream.generator()
+    in_cell = gen.multinomial(trials, np.full(low.size, 1.0 / low.size))
+    sure = gen.binomial(in_cell, np.exp(low))
+    undecided = gen.binomial(in_cell - sure,
+                             _share(np.expm1(top) - np.expm1(low), -np.expm1(low)))
+    sure_exceed = gen.binomial(sure, s_lo)
+    maybe = gen.binomial(sure - sure_exceed, _share(s_hi - s_lo, 1.0 - s_lo))
+
+    def scales(gen, counts, size):
+        if prior.kind == "point":
+            return np.full(size, prior.sigma_lo)
+        sigma = gen.random(size)
+        sigma *= np.repeat(np.diff(edges), counts)
+        sigma += np.repeat(edges[:-1], counts)
+        return np.exp(sigma, out=sigma)
+
+    def undecided_block(gen, counts, size):
+        log_u = gen.random(size)
+        log_u *= np.repeat(-depth, counts)
+        np.log1p(log_u, out=log_u)
+        log_u += np.repeat(top, counts)
+        log_u /= n
+        peak = std_normal_quantile_log(log_u)
+        del log_u   # freed before the scales are drawn, to keep the block's peak low
+        sigma = scales(gen, counts, size)
+        peak *= sigma
+        kept = peak <= threshold
+        del peak
         extra = gen.standard_normal(size)
         extra *= sigma
-        exceed = (extra > spec.q0) & accepted
-        return int(np.count_nonzero(accepted)), int(np.count_nonzero(exceed))
+        return int(np.count_nonzero(kept)), int(np.count_nonzero((extra > spec.q0) & kept))
 
-    parts = _map_blocks(stream, trials, block)
-    kept = sum(p[0] for p in parts)
-    exceed = sum(p[1] for p in parts)
+    def maybe_block(gen, counts, size):
+        sigma = scales(gen, counts, size)
+        v = gen.random(size)
+        v *= np.repeat(s_hi - s_lo, counts)
+        v += np.repeat(s_lo, counts)
+        with np.errstate(over="ignore"):   # q0 / sigma = inf: sf is 0
+            z = np.divide(spec.q0, sigma, out=sigma)
+        z *= _INV_SQRT2
+        sf = np.fromiter(map(math.erfc, z), float, size)
+        sf *= 0.5
+        return (int(np.count_nonzero(v < sf)),)
+
+    parts = _map_cells(stream.child(0), undecided, undecided_block)
+    kept = int(sure.sum()) + sum(p[0] for p in parts)
+    exceed = int(sure_exceed.sum()) + sum(p[1] for p in parts) + sum(
+        p[0] for p in _map_cells(stream.child(1), maybe, maybe_block))
     if kept == 0:
         raise InfeasibleConditioningError(
             f"no accepted runs in {trials} trials: the event max <= {threshold} "

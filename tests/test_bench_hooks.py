@@ -38,10 +38,11 @@ def test_tracer_patches_and_restores_every_hook(monkeypatch):
         assert all(new[key] is old[key] for key in old)
 
 
-# Draws per trial of each traced Monte Carlo kernel: a scale, ln U and an
-# extra normal; ln U and ln V; ln U.
-DRAWS_PER_TRIAL = {"estimate_conditional_exceedance": 3, "simulate_minimal_effort": 2,
-                   "expected_max_monte_carlo": 1}
+# Draws per trial of the traced Monte Carlo kernels that draw every trial:
+# ln U and ln V; ln U.  A verify row (estimate_conditional_exceedance)
+# draws per-cell counts and simulates only the runs its screen leaves
+# undecided, so its draws are a small share of its trials.
+DRAWS_PER_TRIAL = {"simulate_minimal_effort": 2, "expected_max_monte_carlo": 1}
 
 
 def test_tracer_counts_stay_exact_with_block_threads(monkeypatch, capsys, tmp_path):
@@ -79,5 +80,8 @@ def test_tracer_counts_stay_exact_with_block_threads(monkeypatch, capsys, tmp_pa
             assert metrics[f"{name}.draws"] == per_trial * metrics[f"{name}.trials"]
             assert metrics[f"{name}.blocks"] == sum(
                 len(paradox._block_plan(s.attrs["trials"])) for s in spans)
+        verify = "paradox.estimate_conditional_exceedance"
+        assert 0 < metrics[f"{verify}.draws"] < 0.05 * metrics[f"{verify}.trials"]
+        assert metrics[f"{verify}.blocks"] > metrics[f"{verify}.calls"]
         runs.append(tracing.count_metrics(metrics))
     assert runs[0] == runs[1]

@@ -71,7 +71,7 @@ def mc_conditional_exceedance(q0, threshold, n, prior, trials, seed):
     while remaining > 0:
         m = min(chunk, remaining)
         remaining -= m
-        sigma = prior.sample(rng, m)
+        sigma = np.exp(rng.uniform(math.log(prior.sigma_lo), math.log(prior.sigma_hi), m))
         z = rng.standard_normal((m, n + 1))
         accepted = z[:, :n].max(axis=1) * sigma <= threshold
         kept += int(accepted.sum())

@@ -117,7 +117,7 @@ class TestCalibrateCommand:
         code, out, err = run_cli(capsys, "calibrate", "--job", path)
         assert code == EXIT_INFEASIBLE
         assert out == ""
-        assert "infeasible" in err
+        assert err.startswith("infeasible: even the smallest prior scale")
 
     def test_uncapped_search_doubles_past_unconditionable_q0(self, capsys, tmp_path):
         # max <= q0 has negligible probability at this count, so q0 has no
@@ -213,7 +213,7 @@ class TestScheduleCommand:
         code, out, err = run_cli(capsys, "schedule", "--job", path)
         assert code == EXIT_INFEASIBLE
         assert out == ""
-        assert "n' = 2" in err
+        assert err.startswith("infeasible: schedule entry n' = 2: even the smallest")
 
 
 class TestVerifyCommand:
@@ -423,16 +423,25 @@ class TestMainNeverRaises:
            scales=st.lists(POSITIVE_FLOATS, min_size=2, max_size=2).map(sorted),
            n=st.integers(1, 2**20), cap=st.booleans())
     @example(q0=0.5, p0=0.01, scales=[4e-309, 10.0], n=40, cap=True)
+    @example(q0=0.5, p0=0.01, scales=[5e-324, 10.0], n=1, cap=False)
+    @example(q0=5e-324, p0=5e-324, scales=[5e-324, 10.0], n=1, cap=False)
     def test_exits_with_a_documented_code(self, tmp_path_factory, command, q0, p0,
                                           scales, n, cap):
+        # every field is valid except where 1/sigma_lo overflows or the
+        # log-uniform range is a single value: exactly those are input
+        # errors, and they name the field
         path = tmp_path_factory.getbasetemp() / f"never_raises_{command}.json"
         path.write_text(json.dumps({"q0": q0, "p0": p0, "n": n, "cap_at_q0": cap,
                                     "prior": {"type": "log_uniform", "sigma_lo": scales[0],
                                               "sigma_hi": scales[1]}}))
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([command, "--job", str(path)])
         assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_INFEASIBLE)
+        breaks_input_rule = 1.0 / scales[0] == math.inf or scales[0] == scales[1]
+        assert (code == EXIT_INPUT_ERROR) == breaks_input_rule
+        if breaks_input_rule:
+            assert "sigma_lo" in err.getvalue()
 
 
 class TestArgumentHandling:

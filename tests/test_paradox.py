@@ -28,6 +28,7 @@ from threshcal.calibration import (
     StandardRule,
     acceptance_probability,
     conditional_exceedance,
+    marginal_exceedance,
     threshold_schedule,
 )
 from threshcal.errors import ConfigurationError, DomainError, InfeasibleConditioningError
@@ -42,7 +43,6 @@ from threshcal.paradox import (
     EULER_GAMMA,
     DesignScenario,
     SimulationReport,
-    _accepted,
     _draw_exceedance_counts,
     _log_uniform,
     _map_blocks,
@@ -241,6 +241,53 @@ class TestNestedCounts:
             assert c > c2 or k >= k2   # a higher cutoff never counts more
 
 
+def verify_row_by_recipe(threshold, n, prior, trials, stream, block_trials):
+    """(accepted runs, exceeding runs) of estimate_conditional_exceedance,
+    drawn by its recipe: the per-cell binomial counts from
+    stream.generator(), then the undecided runs in blocks of block_trials
+    on stream.child(0) and the runs that may exceed on stream.child(1),
+    each decided by the reference rules."""
+    edges, low, high, s_lo, s_hi = _screen_table(DEMO.q0, threshold, n, prior)
+    cells = low.size
+    top = np.minimum(high, 0.0)
+    gen = stream.generator()
+    in_cell = gen.multinomial(trials, [1.0 / cells] * cells)
+    sure = gen.binomial(in_cell, np.exp(low))
+    rest = -np.expm1(low)
+    band = np.expm1(top) - np.expm1(low)
+    undecided = gen.binomial(in_cell - sure, [min(1.0, b / r) if r > 0.0 else 0.0
+                                              for b, r in zip(band, rest)])
+    sure_exceed = gen.binomial(sure, s_lo)
+    maybe = gen.binomial(sure - sure_exceed, np.minimum(1.0, (s_hi - s_lo) / (1.0 - s_lo)))
+
+    def scales(gen, cell):
+        if prior.kind == "point":
+            return np.full(cell.size, prior.sigma_lo)
+        return np.exp(gen.random(cell.size) * (edges[cell + 1] - edges[cell]) + edges[cell])
+
+    kept, exceed = int(sure.sum()), int(sure_exceed.sum())
+    cells_of = np.repeat(np.arange(cells), undecided)
+    for b, start in enumerate(range(0, cells_of.size, block_trials)):
+        cell = cells_of[start:start + block_trials]
+        gen = stream.child(0).generator(b)
+        # ln U from the exponential law truncated to (low, top]
+        log_u = np.log1p(gen.random(cell.size) * -(-np.expm1(low[cell] - top[cell]))) + top[cell]
+        peak = std_normal_quantile_log(log_u / n)
+        sigma = scales(gen, cell)
+        accepted = peak * sigma <= threshold
+        kept += int(np.count_nonzero(accepted))
+        exceed += int(np.count_nonzero(accepted & (gen.standard_normal(cell.size) * sigma
+                                                   > DEMO.q0)))
+    cells_of = np.repeat(np.arange(cells), maybe)
+    for b, start in enumerate(range(0, cells_of.size, block_trials)):
+        cell = cells_of[start:start + block_trials]
+        gen = stream.child(1).generator(b)
+        sigma = scales(gen, cell)
+        v = gen.random(cell.size) * (s_hi - s_lo)[cell] + s_lo[cell]
+        exceed += sum(x < marginal_exceedance(DEMO, s) for x, s in zip(v, sigma.tolist()))
+    return kept, exceed
+
+
 class TestEstimateConditionalExceedance:
     def test_agrees_with_quadrature(self):
         quad_val = conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR)
@@ -250,35 +297,60 @@ class TestEstimateConditionalExceedance:
         assert abs(report.estimate - quad_val) <= 3.0 * report.standard_error
         assert 0 < report.accepted_runs < report.trials
 
-    def test_deterministic_and_follows_block_plan(self):
+    def test_deterministic_and_follows_block_plan(self, monkeypatch):
+        # blocks of 64 trials, so the undecided runs fill several
+        monkeypatch.setattr(paradox, "_BLOCK_TRIALS", 64)
         stream = SeededStream(seed=17, stream_index=1)
         trials = 2 * _BLOCK_TRIALS + 777
-        a = estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR, trials, stream)
-        b = estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR, trials, stream)
-        assert a == b
-        # block b draws the scale, ln U for the maximum, then the extra draw
-        kept = exceed = 0
-        for block, size in enumerate([_BLOCK_TRIALS, _BLOCK_TRIALS, 777]):
-            gen = stream.generator(block)
-            sigma = np.exp(gen.uniform(math.log(0.01), math.log(10.0), size))
-            peak = std_normal_quantile_log(-gen.standard_exponential(size) / 40)
-            accepted = peak * sigma <= 1.0
-            kept += int(np.count_nonzero(accepted))
-            exceed += int(np.count_nonzero(accepted & (gen.standard_normal(size) * sigma > 1.0)))
-        assert a.accepted_runs == kept
-        assert a.estimate == exceed / kept
+        # the last prior makes a third of the sure runs exceed for sure
+        for prior, threshold in ((DEMO_PRIOR, 1.0), (SigmaPrior.point(0.3), 1.0),
+                                 (SigmaPrior.log_uniform(0.5, 5.0), 5.0)):
+            a = estimate_conditional_exceedance(DEMO, threshold, 40, prior, trials, stream)
+            b = estimate_conditional_exceedance(DEMO, threshold, 40, prior, trials, stream)
+            assert a == b
+            kept, exceed = verify_row_by_recipe(threshold, 40, prior, trials, stream, 64)
+            assert a.accepted_runs == kept
+            assert a.estimate == exceed / kept
 
     def test_impossible_event_raises(self):
         with pytest.raises(InfeasibleConditioningError):
             estimate_conditional_exceedance(DEMO, -10.0, 40, DEMO_PRIOR, trials=1_000,
                                             stream=SeededStream(seed=18, stream_index=1))
 
+    # The bench priors at n' = 2, 32, 40 and 640, at thresholds near their
+    # calibrated ones.
+    @pytest.mark.parametrize("prior,threshold,n", [
+        (SigmaPrior.log_uniform(0.01, 1.0), 1.0, 2),
+        (SigmaPrior.log_uniform(0.01, 1.0), 1.0, 32),
+        (DEMO_PRIOR, 1.8, 40),
+        (DEMO_PRIOR, 2.7, 640),
+    ], ids=["few-2", "few-32", "demo-40", "demo-640"])
+    def test_law_over_seeds(self, prior, threshold, n):
+        # over LAW_SEEDS independent rows, the estimates centre on the
+        # quadrature and spread as a binomial proportion over the kept runs
+        exact = conditional_exceedance(DEMO, threshold, n, prior)
+        reports = [estimate_conditional_exceedance(DEMO, threshold, n, prior, LAW_TRIALS,
+                                                   SeededStream(seed, 1))
+                   for seed in range(LAW_SEEDS)]
+        estimates = np.array([r.estimate for r in reports])
+        kept = np.mean([r.accepted_runs for r in reports])
+        spread = float(estimates.std(ddof=1))
+        assert abs(estimates.mean() - exact) <= 4.0 * spread / math.sqrt(LAW_SEEDS)
+        assert 0.9 <= spread / math.sqrt(exact * (1.0 - exact) / kept) <= 1.1
 
-# The acceptance screen of estimate_conditional_exceedance: thresholds of
-# both signs, 0 and within rounding of 0, counts across the whole range,
-# wide, narrow and point priors.  Thresholds whose boundary
-# x = threshold / sigma sits on Acklam's branch switches (Phi(x) = 0.02425
-# and 1 - 0.02425) are given as x, for the point prior's sigma.
+
+# Rows of test_law_over_seeds: with 600 seeds the spread's own relative
+# error is about 3%, so the [0.9, 1.1] band is about 3.4 of them wide.
+LAW_SEEDS = 600
+LAW_TRIALS = 100_000
+
+
+# The screen of estimate_conditional_exceedance: thresholds of both signs,
+# 0 and within rounding of 0, counts across the whole range, wide, narrow
+# and point priors.  Thresholds whose boundary x = threshold / sigma sits
+# on Acklam's branch switches (Phi(x) = 0.02425 and 1 - 0.02425) are given
+# as x, for the point prior's sigma.  Under the wide prior, q0 / sigma
+# reaches 100, where sf(q0 / sigma) underflows to 0.
 SCREEN_THRESHOLDS = [-0.5, -0.05, -1e-15, 0.0, 1e-13, 0.3, 1.0, 2.0, 50.0]
 SCREEN_COUNTS = [1, 2, 40, 2**20, 2**36]
 SCREEN_PRIORS = {
@@ -286,6 +358,11 @@ SCREEN_PRIORS = {
     "unit": SigmaPrior.log_uniform(0.01, 1.0),
     "narrow": SigmaPrior.log_uniform(0.5, 0.6),
     "point": SigmaPrior.point(0.7),
+}
+# priors reaching below _SCREEN_MIN_SIGMA: one cell, no ln U bound decides
+UNSCREENED_PRIORS = {
+    "subnormal": SigmaPrior.log_uniform(5e-324, 1e-300),
+    "wide-subnormal": SigmaPrior.log_uniform(5e-324, 10.0),
 }
 BRANCH_SWITCH_X = [std_normal_quantile(0.02425), std_normal_quantile(1.0 - 0.02425)]
 # two blocks, the last one partial
@@ -302,19 +379,21 @@ def screen_cases(prior_name):
 
 
 def unscreened(threshold, n, prior, stream):
-    """(accepted_runs, estimate) of estimate_conditional_exceedance over
-    SCREEN_TRIALS, with every run decided by the quantile itself; (0, None)
-    without kept runs."""
+    """(kept, exceeding) runs of SCREEN_TRIALS, every run simulated: a scale
+    from the prior, the quantile test and a normal extra draw."""
     kept = exceed = 0
     for block, size in enumerate(SCREEN_PLAN):
         gen = stream.generator(block)
-        sigma = prior.sample(gen, size)
+        if prior.kind == "point":
+            sigma = np.full(size, prior.sigma_lo)
+        else:
+            sigma = np.exp(gen.uniform(math.log(prior.sigma_lo), math.log(prior.sigma_hi), size))
         peak = std_normal_quantile_log(-gen.standard_exponential(size) / n)
         accepted = peak * sigma <= threshold
         kept += int(np.count_nonzero(accepted))
         exceed += int(np.count_nonzero(
             accepted & (gen.standard_normal(size) * sigma > DEMO.q0)))
-    return kept, (exceed / kept if kept else None)
+    return kept, exceed
 
 
 def screened(threshold, n, prior, stream):
@@ -322,72 +401,100 @@ def screened(threshold, n, prior, stream):
         report = estimate_conditional_exceedance(DEMO, threshold, n, prior, SCREEN_TRIALS,
                                                  stream)
     except InfeasibleConditioningError:
-        return 0, None
-    return report.accepted_runs, report.estimate
+        return 0, 0
+    return report.accepted_runs, round(report.estimate * report.accepted_runs)
 
 
-def boundary_trials(threshold, n, prior):
-    """(ln U, sigma) pairs packed around the acceptance boundary.
+def same_proportion(a, b, trials=SCREEN_TRIALS, k=5.0):
+    """a and b successes of trials each agree within k standard errors of
+    their difference; a pooled rate of 0 or 1 needs a == b."""
+    p = (a + b) / (2 * trials)
+    return abs(a - b) <= k * math.sqrt(2 * trials * p * (1.0 - p))
 
-    The scales are cell edges of the screen, the prior's ends and the
-    floats a few ulps past them (which ln and exp can round a draw to).
-    For each, ln U runs over a grid about n ln Phi(threshold / sigma), in
-    steps of one ulp (the rounding of the test itself), in relative steps
-    of 1e-11 (finer than the gap between Acklam's boundary and the true
-    one) and of 1e-6 (across the margin).
+
+def mismatches_with_unscreened(cases, prior, stream):
+    """The (threshold, n) cases whose kept or exceeding share differs from
+    simulating every run."""
+    mismatches = []
+    for t, n in cases:
+        (kept, exceed), (kept_ref, exceed_ref) = (screened(t, n, prior, stream),
+                                                  unscreened(t, n, prior, stream))
+        if not (same_proportion(kept, kept_ref) and same_proportion(exceed, exceed_ref)):
+            mismatches.append((t, n))
+    return mismatches
+
+
+def cell_scales(edges):
+    """(cell, sigma) pairs for every 16th cell and the last: the scales a
+    cell's draws can reach, its two edges and the floats a few ulps either
+    side (which ln and exp can round a draw to)."""
+    ulps = np.arange(-3, 4) * 2.0**-52
+    for cell in [*range(0, edges.size - 1, 16), edges.size - 2]:
+        for s in (np.exp(edges[cell:cell + 2])[:, None] * (1.0 + ulps)).ravel().tolist():
+            yield cell, s
+
+
+def boundary_trials(threshold, n, edges):
+    """(ln U, sigma, cell) triples packed around the acceptance boundary.
+
+    For each of cell_scales, ln U runs over a grid about
+    n ln Phi(threshold / sigma), in steps of one ulp (the rounding of the
+    test itself), in relative steps of 1e-11 (finer than the gap between
+    Acklam's boundary and the true one) and of 1e-6 (across the margin).
     """
-    lo, hi = prior.sigma_lo, prior.sigma_hi
-    edges = np.exp(np.linspace(math.log(lo), math.log(hi), paradox._SCREEN_CELLS + 1))
-    ulps = np.arange(4)
-    sigmas = np.concatenate([edges[::16], lo * (1.0 - ulps * 2.0**-53),
-                             hi * (1.0 + ulps * 2.0**-52)])
     steps = np.concatenate([np.arange(-1000, 1001) * 1e-11, np.arange(-100, 101) * 1e-6])
     ulps_around = np.arange(-64, 65)
-    log_u, sigma = [], []
-    for s in sigmas.tolist():
-        boundary = n * log_std_normal_cdf(threshold / s)
+    log_u, sigma, cells = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=int)]
+    for cell, s in cell_scales(edges):
+        x = threshold / s
+        boundary = n * log_std_normal_cdf(x) if math.isfinite(x) else 0.0
         if not -math.inf < boundary < 0.0:
-            continue
+            continue   # every ln U is kept, or none
         grid = np.concatenate([boundary * (1.0 + steps),
                                boundary + ulps_around * np.spacing(boundary)])
-        grid = grid[grid <= -2.0**-100]   # ln U of a draw lies below this
+        grid = grid[grid < 0.0]   # ln U lies below 0
         log_u.append(grid)
         sigma.append(np.full(grid.size, s))
-    if not log_u:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(log_u), np.concatenate(sigma)
+        cells.append(np.full(grid.size, cell))
+    return np.concatenate(log_u), np.concatenate(sigma), np.concatenate(cells)
+
+
+def table_violations(threshold, n, prior):
+    """How often a bound of _screen_table decides otherwise than the
+    reference rules: the quantile test for keeping a run (on
+    boundary_trials), sf(q0 / sigma) for its next draw exceeding q0 (on
+    cell_scales)."""
+    edges, low, high, s_lo, s_hi = _screen_table(DEMO.q0, threshold, n, prior)
+    log_u, sigma, cell = boundary_trials(threshold, n, edges)
+    kept = std_normal_quantile_log(log_u / n) * sigma <= threshold
+    wrong = int(np.count_nonzero(((log_u <= low[cell]) & ~kept) | ((log_u > high[cell]) & kept)))
+    return wrong + sum(not s_lo[cell] <= marginal_exceedance(DEMO, s) <= s_hi[cell]
+                       for cell, s in cell_scales(edges))
 
 
 class TestAcceptanceScreen:
-    """The screen decides every run as the quantile test would, bit for bit."""
+    """The screen's bounds decide every run as the reference rules would,
+    and the thinned row keeps the law of simulating every run."""
 
     @pytest.mark.parametrize("prior_name", SCREEN_PRIORS)
     def test_matches_unscreened_estimate(self, prior_name):
         prior = SCREEN_PRIORS[prior_name]
         stream = SeededStream(seed=51, stream_index=1)
-        mismatches = [(t, n) for t, n in screen_cases(prior_name)
-                      if screened(t, n, prior, stream) != unscreened(t, n, prior, stream)]
-        assert mismatches == []
+        assert mismatches_with_unscreened(screen_cases(prior_name), prior, stream) == []
 
-    @pytest.mark.parametrize("prior_name", SCREEN_PRIORS)
+    @pytest.mark.parametrize("prior_name", [*SCREEN_PRIORS, *UNSCREENED_PRIORS])
     def test_matches_quantile_at_the_boundary(self, prior_name):
-        prior = SCREEN_PRIORS[prior_name]
-        mismatches = []
-        for t, n in screen_cases(prior_name):
-            log_u, sigma = boundary_trials(t, n, prior)
-            expected = std_normal_quantile_log(log_u / n) * sigma <= t
-            if not np.array_equal(_accepted(log_u, sigma, t, n, _screen_table(t, n, prior)),
-                                  expected):
-                mismatches.append((t, n))
-        assert mismatches == []
+        prior = {**SCREEN_PRIORS, **UNSCREENED_PRIORS}[prior_name]
+        cases = screen_cases(prior_name) if prior_name in SCREEN_PRIORS else [
+            (t, n) for t in (0.0, 5e-324, -5e-324, 1e-305, 1.0) for n in SCREEN_COUNTS]
+        assert [(t, n) for t, n in cases if table_violations(t, n, prior)] == []
 
     def test_matches_unscreened_estimate_at_subnormal_scales(self):
         # peak * sigma rounds to subnormals here, where rounding is absolute
-        prior = SigmaPrior.log_uniform(5e-324, 1e-300)
+        prior = UNSCREENED_PRIORS["subnormal"]
         stream = SeededStream(seed=54, stream_index=1)
-        for t in (0.0, 5e-324, -5e-324, 1e-305):
-            for n in (1, 40):
-                assert screened(t, n, prior, stream) == unscreened(t, n, prior, stream)
+        cases = [(t, n) for t in (0.0, 5e-324, -5e-324, 1e-305) for n in (1, 40)]
+        assert mismatches_with_unscreened(cases, prior, stream) == []
 
     @pytest.mark.parametrize("prior_name", SCREEN_PRIORS)
     def test_quantile_runs_on_under_one_percent(self, prior_name, monkeypatch):
@@ -449,6 +556,21 @@ def one_block_calls(rule):
 
 
 class TestBlockMemory:
+    def test_verify_row_memory_does_not_grow_with_trials(self, monkeypatch):
+        # 2**30 trials: about 4.2e6 undecided runs in 65 blocks and 1e5 that
+        # may exceed in 2, one block at a time
+        monkeypatch.setattr(paradox, "_WORKERS", 1)
+        stream = SeededStream(seed=55, stream_index=1)
+        estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR, _BLOCK_TRIALS, stream)
+        tracemalloc.start()
+        try:
+            report = estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR, 2**30, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.trials == 2**30
+        assert peak <= 2 * 2**20
+
     @pytest.mark.parametrize("name", BLOCK_PEAK_MIB)
     def test_block_peak_stays_bounded(self, name, wide_rule, monkeypatch):
         monkeypatch.setattr(paradox, "_WORKERS", 1)
@@ -716,6 +838,20 @@ class TestWorkerCountInvariance:
             results.append(every_entry_point(wide_rule))
         assert results[0] == results[1] == results[2] == results[3]
 
+    def test_verify_row_is_identical_over_many_blocks(self, monkeypatch):
+        # blocks of 64 trials, in waves of 5: the undecided runs and those
+        # that may exceed fill a few dozen blocks
+        monkeypatch.setattr(paradox, "_BLOCK_TRIALS", 64)
+        monkeypatch.setattr(paradox, "_WAVE_BLOCKS", 5)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(paradox, "_WORKERS", workers)
+            results.append([estimate_conditional_exceedance(
+                DEMO, 1.0, 40, prior, trials, SeededStream(seed=44, stream_index=1))
+                for prior, trials in ((DEMO_PRIOR, 400_000),
+                                      (UNSCREENED_PRIORS["wide-subnormal"], 2_000))])
+        assert results[0] == results[1] == results[2]
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_results_come_back_in_block_order(self, monkeypatch, workers):
         monkeypatch.setattr(paradox, "_WORKERS", workers)
@@ -811,9 +947,19 @@ class TestWorkerCountInvariance:
         monkeypatch.setattr(paradox, "_WAVE_BLOCKS", 3)
         every_entry_point(wide_rule)
         assert {ident for ident, _, _ in calls} == {threading.get_ident()}
-        # five runs of the block plan; the two fixed_sigma simulations and
-        # the three curve rows make one generator each, row r on stream.child(r)
+        # four runs of the block plan; the two fixed_sigma simulations and
+        # the three curve rows make one generator each, row r on
+        # stream.child(r); the verify row makes one for its counts, then
+        # its undecided blocks on stream.child(0) and the blocks of runs
+        # that may exceed on stream.child(1)
         plan = [(b,) for b in range(INVARIANCE_BLOCKS)]
-        assert [(row, path) for _, row, path in calls] == (
+        paths = [(row, path) for _, row, path in calls]
+        verify = paths[len(plan) * 3 + 5:-len(plan)]
+        undecided = sum(row == (0,) for row, _ in verify)
+        maybe = len(verify) - 1 - undecided
+        assert undecided >= 1
+        assert paths == (
             [((), b) for b in plan] + [((), ())] * 2 + [((), b) for b in plan * 2]
-            + [((r,), ()) for r in range(3)] + [((), b) for b in plan * 2])
+            + [((r,), ()) for r in range(3)]
+            + [((), ())] + [((0,), (b,)) for b in range(undecided)]
+            + [((1,), (b,)) for b in range(maybe)] + [((), b) for b in plan])
