@@ -36,8 +36,9 @@ digit numbers; diagnostics go to standard error.  Exit codes:
 
     0  success
     1  input error, including a job or schedule file that cannot be read
-       or decoded (UTF-8, and JSON for a job), a count (n, an n_list entry,
-       trials, --n) above 2**36, and an --out path that cannot be written
+       or decoded (UTF-8, a leading byte order mark accepted, and JSON for
+       a job), a count (n, an n_list entry, trials, --n) above 2**36, and
+       an --out path that cannot be written
     2  infeasibility (no threshold can meet the target), or a quadrature
        that exhausts its budget before converging
     3  verification failure: a verify row whose estimate exceeds p0 by
@@ -195,7 +196,7 @@ class JobSpec:
 
 def _read_text(path: str, what: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:   # a leading BOM is dropped
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise JobError(f"cannot read {what} {path}: {exc}") from exc

@@ -28,14 +28,16 @@ only the trials between the bounds are simulated, so a row's cost grows
 with that undecided share of its trials, not with all of them.
 
 Every simulated trial costs a fixed number of draws whatever the count.
-Simulated trials run over a fixed plan of _BLOCK_TRIALS-trial blocks:
-block b draws from the substream stream.generator(b) and reduces to
-integer counts or to float sums that depend only on the block's own
-values.  The blocks are independent, so they run on every core the process
-may use (_WORKERS, from its CPU affinity; there is no setting).  Every
-generator is made on the calling thread in block order, and the results
-are combined in block order, so neither the thread count nor the order in
-which blocks finish can change a bit: the result is bit-identical per seed.
+One driver, _map_blocks, runs every simulated kernel over a fixed plan of
+_BLOCK_TRIALS-trial blocks, its trials lying cell after cell (the screen's
+cells of ln sigma, or one cell): block b draws from stream.generator(b)
+and reduces to integer counts or to float sums that depend only on the
+block's own values.  The blocks are independent, so they run on every core
+the process may use (_WORKERS, from its CPU affinity; there is no setting).
+Every generator is made on the calling thread in block order, and the
+results are combined in block order, so neither the thread count nor the
+order in which blocks finish can change a bit: the result is bit-identical
+per seed.
 """
 
 from __future__ import annotations
@@ -108,21 +110,14 @@ _SCREEN_X_CLIP = 1e300
 # the screen (and 1 / sigma stays finite above it).
 _SCREEN_MIN_SIGMA = 2.0 ** -900
 
-_MODES = ("fixed_sigma", "minimal_effort")
 _RULE_KINDS = ("fixed_threshold", "schedule")
 
 
 @dataclass(frozen=True)
 class DesignScenario:
-    """A designer being tested under a standard.
+    """A designer tested under a standard, every sample drawn at sigma_true;
+    its rejections are one binomial draw, outside the block driver."""
 
-    fixed_sigma draws every sample at the true scale sigma_true.
-    minimal_effort models a designer who relaxes mitigation until the
-    maximum of the required first n_required measurements sits exactly on
-    the standard's base threshold (sigma_true is ignored).
-    """
-
-    mode: str
     sigma_true: float
     rule: StandardRule
     n_performed: int
@@ -130,8 +125,6 @@ class DesignScenario:
     stream: SeededStream
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
         _require_positive("sigma_true", self.sigma_true)
         _require_count("n_performed", self.n_performed)
         _require_count("trials", self.trials)
@@ -177,21 +170,14 @@ def _binomial_report(successes: int, trials: int, accepted_runs: int) -> Simulat
                             trials=trials, accepted_runs=accepted_runs)
 
 
-def _block_plan(trials: int) -> list[int]:
-    """Trial counts of the fixed block plan: full blocks, then the remainder."""
-    full, rest = divmod(trials, _BLOCK_TRIALS)
-    return [_BLOCK_TRIALS] * full + ([rest] if rest else [])
+def _map_blocks(stream: SeededStream, counts: Sequence[int],
+                block_fn: Callable[[np.random.Generator, np.ndarray, int], tuple]) -> list[tuple]:
+    """block_fn(stream.generator(b), block counts, size) for every block b, in order.
 
-
-def _map_blocks(stream: SeededStream, trials: int,
-                block_fn: Callable[[np.random.Generator, int], tuple]) -> list[tuple]:
-    """block_fn(stream.generator(b), size) for every block b of the plan, in order."""
-    return _map_plan(stream, _block_plan(trials), block_fn)
-
-
-def _map_plan(stream: SeededStream, plan: Sequence,
-              block_fn: Callable[[np.random.Generator, object], tuple]) -> list[tuple]:
-    """block_fn(stream.generator(b), plan[b]) for every block b, in order.
+    The sum(counts) trials lie cell after cell, counts[k] of them in cell
+    k, and run in blocks of _BLOCK_TRIALS, the last holding the remainder.
+    A block's counts are how many of its size trials each cell holds; a
+    kernel without cells passes one cell, [trials].
 
     The generators are made here, on the calling thread, in block order,
     _WAVE_BLOCKS at a time.  Each wave's blocks then run on
@@ -203,19 +189,25 @@ def _map_plan(stream: SeededStream, plan: Sequence,
     lowest failing block is raised, which is the one a plain loop would
     raise.
     """
-    results: list = [None] * len(plan)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    total = int(bounds[-1])
+    starts = range(0, total, _BLOCK_TRIALS)
+    results: list = [None] * len(starts)
     failures: list[tuple[int, BaseException]] = []
 
     def run(first: int, gens: list, workers: int, w: int) -> None:
         for b in range(first + w, first + len(gens), workers):
+            start = starts[b]
+            stop = min(start + _BLOCK_TRIALS, total)
             try:
-                results[b] = block_fn(gens[b - first], plan[b])
+                results[b] = block_fn(gens[b - first], np.diff(np.clip(bounds, start, stop)),
+                                      stop - start)
             except BaseException as exc:   # re-raised on the calling thread
                 failures.append((b, exc))
                 return
 
-    for first in range(0, len(plan), _WAVE_BLOCKS):
-        gens = [stream.generator(b) for b in range(first, min(first + _WAVE_BLOCKS, len(plan)))]
+    for first in range(0, len(starts), _WAVE_BLOCKS):
+        gens = [stream.generator(b) for b in range(first, min(first + _WAVE_BLOCKS, len(starts)))]
         workers = min(_WORKERS, len(gens))
         threads = [threading.Thread(target=run, args=(first, gens, workers, w))
                    for w in range(1, workers)]
@@ -267,13 +259,13 @@ def simulate_minimal_effort(n: int, trials: int, stream: SeededStream) -> Simula
     n = _require_count("n", n)
     trials = _require_count("trials", trials)
 
-    def block(gen, size):
+    def block(gen, _, size):
         log_u = _log_uniform(gen, size)
         log_v = _log_uniform(gen, size)
         log_v *= n
         return (int(np.count_nonzero(log_v > log_u)),)
 
-    exceed = sum(p[0] for p in _map_blocks(stream, trials, block))
+    exceed = sum(p[0] for p in _map_blocks(stream, [trials], block))
     return _binomial_report(exceed, trials, accepted_runs=trials)
 
 
@@ -288,33 +280,10 @@ def simulate_compliance(scenario: DesignScenario, rule_kind: str) -> SimulationR
     if rule_kind not in _RULE_KINDS:
         raise DomainError(f"rule_kind must be one of {_RULE_KINDS}, got {rule_kind!r}")
     rule = scenario.rule
-    if rule_kind == "fixed_threshold":
-        applied_t = rule.threshold
-    else:
-        _, applied_t = rule.entry_for(scenario.n_performed)
-
-    if scenario.mode == "fixed_sigma":
-        cutoff = log_cdf_power(applied_t / scenario.sigma_true, scenario.n_performed)
-        rejected = _draw_exceedance_counts(scenario.stream, scenario.trials, [cutoff])[0]
-    else:
-        n_req = rule.n_required
-        if rule.threshold <= 0.0:
-            raise ConfigurationError(
-                "minimal_effort mode needs a positive base threshold to pin the "
-                f"observed maximum to, got {rule.threshold}")
-        # Pinning max of the first n_req draws at the base threshold and
-        # testing the rest against applied_t is scale-free: reject exactly
-        # when max(extras) > max(first n_req) * (applied_t / base_t).
-        ratio = applied_t / rule.threshold
-        n_extra = scenario.n_performed - n_req
-
-        def block(gen, size):
-            m_req = std_normal_quantile_log(_log_uniform(gen, size) / n_req)
-            m_extra = std_normal_quantile_log(_log_uniform(gen, size) / n_extra)
-            return (int(np.count_nonzero(m_extra > m_req * ratio)),)
-
-        rejected = 0 if n_extra == 0 else sum(
-            p[0] for p in _map_blocks(scenario.stream, scenario.trials, block))
+    applied_t = (rule.threshold if rule_kind == "fixed_threshold"
+                 else rule.entry_for(scenario.n_performed)[1])
+    cutoff = log_cdf_power(applied_t / scenario.sigma_true, scenario.n_performed)
+    rejected = _draw_exceedance_counts(scenario.stream, scenario.trials, [cutoff])[0]
     return _binomial_report(rejected, scenario.trials,
                             accepted_runs=scenario.trials - rejected)
 
@@ -409,24 +378,6 @@ def _share(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
     return np.clip(share, 0.0, 1.0, out=share)
 
 
-def _map_cells(stream: SeededStream, counts: np.ndarray,
-               block_fn: Callable[[np.random.Generator, np.ndarray, int], tuple]) -> list[tuple]:
-    """block_fn(gen, block counts, size) over counts[k] trials in each cell k.
-
-    The trials lie cell after cell and run in blocks of _BLOCK_TRIALS, block
-    b on stream.generator(b) (_map_plan); the block counts are how many of
-    the block's trials each cell holds.
-    """
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    total = int(bounds[-1])
-
-    def block(gen, start):
-        stop = min(start + _BLOCK_TRIALS, total)
-        return block_fn(gen, np.diff(np.clip(bounds, start, stop)), stop - start)
-
-    return _map_plan(stream, range(0, total, _BLOCK_TRIALS), block)
-
-
 def estimate_conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
                                     prior: SigmaPrior, trials: int,
                                     stream: SeededStream) -> SimulationReport:
@@ -462,8 +413,8 @@ def estimate_conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
     exceeds q0 or not.  Within a cell a sure run's scale is independent of
     its being kept, so a run that may exceed draws a fresh sigma in its
     cell and V uniform on [s_lo[k], s_hi[k]), and exceeds when
-    V < sf(q0 / sigma).  The undecided runs run in _BLOCK_TRIALS blocks on
-    stream.child(0), the runs that may exceed on stream.child(1).
+    V < sf(q0 / sigma).  The undecided runs go through _map_blocks, cell by
+    cell, on stream.child(0), the runs that may exceed on stream.child(1).
 
     The bounds hold for every scale a cell's draws can reach.  For sf the
     margin m(y) = 1e-6 y + 1e-12 dwarfs the rounding of q0 / sigma and
@@ -529,10 +480,10 @@ def estimate_conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
         sf *= 0.5
         return (int(np.count_nonzero(v < sf)),)
 
-    parts = _map_cells(stream.child(0), undecided, undecided_block)
+    parts = _map_blocks(stream.child(0), undecided, undecided_block)
     kept = int(sure.sum()) + sum(p[0] for p in parts)
     exceed = int(sure_exceed.sum()) + sum(p[1] for p in parts) + sum(
-        p[0] for p in _map_cells(stream.child(1), maybe, maybe_block))
+        p[0] for p in _map_blocks(stream.child(1), maybe, maybe_block))
     if kept == 0:
         raise InfeasibleConditioningError(
             f"no accepted runs in {trials} trials: the event max <= {threshold} "
@@ -580,7 +531,7 @@ def expected_max_monte_carlo(n: int, sigma: float, trials: int,
     if trials < 2:
         raise DomainError("need at least 2 trials for a standard error")
 
-    def block(gen, size):
+    def block(gen, _, size):
         log_u = _log_uniform(gen, size)
         log_u /= n
         m = std_normal_quantile_log(log_u)
@@ -588,7 +539,7 @@ def expected_max_monte_carlo(n: int, sigma: float, trials: int,
         m *= m
         return total, float(m.sum())
 
-    parts = _map_blocks(stream, trials, block)
+    parts = _map_blocks(stream, [trials], block)
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)
     mean = total / trials

@@ -60,18 +60,6 @@ def fixed_sigma_rejections(n: int, sigma: float, thresholds, trials: int,
     return [_frequency(h, trials) for h in hits]
 
 
-def minimal_effort_rejections(n_required: int, n_performed: int, ratio: float,
-                              trials: int, rng: np.random.Generator) -> Estimate:
-    """Share of trials where the maximum of the extra draws exceeds ratio
-    times the maximum of the first n_required."""
-    hits = 0
-    for size in _chunks(trials, n_performed):
-        z = rng.standard_normal((size, n_performed))
-        hits += int((z[:, n_required:].max(axis=1)
-                     > z[:, :n_required].max(axis=1) * ratio).sum())
-    return _frequency(hits, trials)
-
-
 def conditional_exceedance(q0: float, threshold: float, n: int, sigma_lo: float,
                            sigma_hi: float, trials: int,
                            rng: np.random.Generator) -> Estimate:

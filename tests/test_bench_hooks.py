@@ -54,7 +54,7 @@ def test_tracer_counts_stay_exact_with_block_threads(monkeypatch, capsys, tmp_pa
     the old count before it calls np.size, where the interpreter may switch
     threads and lose the other thread's update.  That needs a forced switch
     inside that call and has not been seen, but until the tracer counts
-    under a lock or per thread (ROADMAP item 6) a failure here can be that
+    under a lock or per thread (ROADMAP item 9) a failure here can be that
     race rather than a fault in the library."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(paradox, "_WORKERS", 2)
@@ -79,7 +79,7 @@ def test_tracer_counts_stay_exact_with_block_threads(monkeypatch, capsys, tmp_pa
             assert spans and metrics[f"{name}.trials"] > paradox._BLOCK_TRIALS
             assert metrics[f"{name}.draws"] == per_trial * metrics[f"{name}.trials"]
             assert metrics[f"{name}.blocks"] == sum(
-                len(paradox._block_plan(s.attrs["trials"])) for s in spans)
+                -(-s.attrs["trials"] // paradox._BLOCK_TRIALS) for s in spans)
         verify = "paradox.estimate_conditional_exceedance"
         assert 0 < metrics[f"{verify}.draws"] < 0.05 * metrics[f"{verify}.trials"]
         assert metrics[f"{verify}.blocks"] > metrics[f"{verify}.calls"]

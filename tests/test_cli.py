@@ -492,6 +492,23 @@ class TestJobFieldRejection:
         assert message in err
 
 
+class TestByteOrderMark:
+    """A UTF-8 file that starts with a byte order mark, as Excel's "CSV UTF-8"
+    and PowerShell 5's UTF-8 output write it, reads as the same file without."""
+
+    @pytest.mark.parametrize("argv,option,text", [
+        (("calibrate",), "--job", '{"trials": 1000}'),
+        (("verify", "--trials", "1000"), "--schedule", "n_prime,threshold\n40,1\n"),
+    ], ids=["job", "schedule"])
+    def test_leading_bom_changes_no_byte(self, capsys, tmp_path, argv, option, text):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        expected = run_cli(capsys, *argv, option, str(plain))
+        assert "error" not in expected[2]
+        assert run_cli(capsys, *argv, option, str(marked)) == expected
+
+
 class TestUnreadableInputs:
     """Job and schedule files that cannot be decoded are input errors, not tracebacks."""
 

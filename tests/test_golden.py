@@ -1,4 +1,5 @@
-"""Exact output bytes of `calibrate`, `schedule` and `simulate paradox`.
+"""Exact output bytes of `calibrate`, `schedule`, `simulate`, `verify` and
+`expected-max`.
 
 The expected exit code, stdout and stderr of every case are stored in
 golden_cli.json.  They were recorded at commit 72f3a2e, before a capped
@@ -12,6 +13,18 @@ p0, with its n_list thinned to six counts and few Monte Carlo trials to
 keep the run short.  `calibrate` also runs at n = 20480, where the capped
 job is capped at every p0, so its uncapped diagnostic columns come from
 the second, uncapped calibration.
+
+Three more cases run the commands whose trials go through the threaded
+block driver, with trial counts that span several _BLOCK_TRIALS blocks:
+`verify` of the default job's schedule at 2 * 10**7 trials, whose
+undecided runs fill more than one block per row, and `simulate
+minimal_effort` and `expected-max --n 40` at 3 * 2**16 + 777 trials.  They
+were recorded at commit 809c8fc, before the block drivers were merged into
+one, so they pin that the merge moves no byte.
+
+Every Monte Carlo case (paradox, and the three block-driver cases) holds
+the bytes of one numpy version's generators: a numpy release that changes
+a sampling routine changes them, and they are then recorded again.
 """
 
 import json
@@ -31,6 +44,18 @@ COMMANDS = {"calibrate": ("calibrate",), "schedule": ("schedule",),
 CASES = [(kind, n, p0, cap) for kind in COMMANDS
          for n in ((40, 20480) if kind == "calibrate" else (40,))
          for p0 in P0S for cap in (True, False)]
+
+# the default job's published schedule: every row is capped at q0 = 1
+DEFAULT_SCHEDULE = "n_prime,threshold\n40,1\n80,1\n160,1\n320,1\n640,1\n"
+MULTI_BLOCK_TRIALS = str(3 * 2**16 + 777)
+DRIVER_CASES = {
+    "verify-default-trials=20000000":
+        ("verify", "--schedule", "{schedule}", "--trials", str(2 * 10**7)),
+    f"minimal_effort-default-trials={MULTI_BLOCK_TRIALS}":
+        ("simulate", "minimal_effort", "--trials", MULTI_BLOCK_TRIALS),
+    f"expected-max-n=40-trials={MULTI_BLOCK_TRIALS}":
+        ("expected-max", "--n", "40", "--trials", MULTI_BLOCK_TRIALS),
+}
 
 
 def case_id(kind: str, n: int, p0: float, cap: bool) -> str:
@@ -55,10 +80,19 @@ def golden():
 
 
 def test_golden_file_covers_every_case(golden):
-    assert sorted(golden) == sorted(case_id(*case) for case in CASES)
+    assert sorted(golden) == sorted([*(case_id(*case) for case in CASES), *DRIVER_CASES])
 
 
 @pytest.mark.parametrize("kind,n,p0,cap", CASES, ids=[case_id(*case) for case in CASES])
 def test_output_bytes_match_golden(kind, n, p0, cap, golden, tmp_path, capsys):
     assert run_case(kind, n, p0, cap, tmp_path / "job.json", capsys) == \
         golden[case_id(kind, n, p0, cap)]
+
+
+@pytest.mark.parametrize("name", DRIVER_CASES)
+def test_block_driver_bytes_match_golden(name, golden, tmp_path, capsys):
+    schedule = tmp_path / "s.csv"
+    schedule.write_text(DEFAULT_SCHEDULE, encoding="utf-8")
+    code = main([arg.format(schedule=schedule) for arg in DRIVER_CASES[name]])
+    captured = capsys.readouterr()
+    assert {"code": code, "stdout": captured.out, "stderr": captured.err} == golden[name]

@@ -106,7 +106,7 @@ class TestSimulateMinimalEffort:
 
 class TestSimulateCompliance:
     def _scenario(self, rule, n_performed, sigma, seed=5, trials=20_000):
-        return DesignScenario(mode="fixed_sigma", sigma_true=sigma, rule=rule,
+        return DesignScenario(sigma_true=sigma, rule=rule,
                               n_performed=n_performed, trials=trials,
                               stream=SeededStream(seed=seed, stream_index=3))
 
@@ -134,42 +134,16 @@ class TestSimulateCompliance:
         gap = 4.0 * (low.standard_error + high.standard_error)
         assert high.estimate - low.estimate > gap
 
-    def test_minimal_effort_at_required_count_always_passes(self, uncapped_rule):
-        scenario = DesignScenario(mode="minimal_effort", sigma_true=1.0, rule=uncapped_rule,
-                                  n_performed=40, trials=5_000,
-                                  stream=SeededStream(seed=7, stream_index=3))
-        report = simulate_compliance(scenario, "fixed_threshold")
-        assert report.estimate == 0.0
-
-    def test_minimal_effort_fixed_rule_matches_exchangeability(self, uncapped_rule):
-        # doubling the count: extras carry the overall max half the time
-        scenario = DesignScenario(mode="minimal_effort", sigma_true=1.0, rule=uncapped_rule,
-                                  n_performed=80, trials=50_000,
-                                  stream=SeededStream(seed=8, stream_index=3))
-        report = simulate_compliance(scenario, "fixed_threshold")
-        assert within(report, 0.5)
-
-    def test_minimal_effort_schedule_rejects_less(self, uncapped_rule):
-        kwargs = dict(mode="minimal_effort", sigma_true=1.0, rule=uncapped_rule,
-                      n_performed=640, trials=50_000)
-        fixed = simulate_compliance(
-            DesignScenario(**kwargs, stream=SeededStream(seed=9, stream_index=3)),
-            "fixed_threshold")
-        sched = simulate_compliance(
-            DesignScenario(**kwargs, stream=SeededStream(seed=10, stream_index=3)),
-            "schedule")
-        assert sched.estimate < fixed.estimate
-
     def test_rejects_bad_rule_kind(self, uncapped_rule):
         with pytest.raises(DomainError):
             simulate_compliance(self._scenario(uncapped_rule, 40, 1.0), "nearest")
 
     def test_scenario_validation(self, uncapped_rule):
         with pytest.raises(DomainError):
-            DesignScenario(mode="fixed_sigma", sigma_true=1.0, rule=uncapped_rule,
+            DesignScenario(sigma_true=1.0, rule=uncapped_rule,
                            n_performed=39, trials=10, stream=SeededStream(seed=0))
         with pytest.raises(DomainError):
-            DesignScenario(mode="fixed_sigma", sigma_true=-1.0, rule=uncapped_rule,
+            DesignScenario(sigma_true=-1.0, rule=uncapped_rule,
                            n_performed=40, trials=10, stream=SeededStream(seed=0))
 
 
@@ -523,7 +497,6 @@ BLOCK_PEAK_MIB = {
     "estimate_conditional_exceedance-point": 1.45,   # (1.32)
     "simulate_minimal_effort": 1.17,   # (1.07)
     "simulate_compliance-fixed_sigma": 0.05,   # (0.002)
-    "simulate_compliance-minimal_effort": 1.94,   # (1.76)
     "paradox_curve": 0.05,   # (0.002)
     "expected_max_monte_carlo": 1.39,   # (1.26)
 }
@@ -533,10 +506,8 @@ def one_block_calls(rule):
     """Per name of BLOCK_PEAK_MIB, a call that runs one _BLOCK_TRIALS block."""
     stream = SeededStream(seed=53, stream_index=1)
 
-    def compliance(mode):
-        scenario = DesignScenario(mode=mode, sigma_true=1.0, rule=rule, n_performed=40,
-                                  trials=_BLOCK_TRIALS, stream=stream)
-        return lambda: simulate_compliance(scenario, "schedule")
+    scenario = DesignScenario(sigma_true=1.0, rule=rule, n_performed=40,
+                              trials=_BLOCK_TRIALS, stream=stream)
 
     def exceedance(prior):
         return lambda: estimate_conditional_exceedance(DEMO, 1.0, 40, prior,
@@ -546,8 +517,7 @@ def one_block_calls(rule):
         "estimate_conditional_exceedance": exceedance(DEMO_PRIOR),
         "estimate_conditional_exceedance-point": exceedance(SigmaPrior.point(0.3)),
         "simulate_minimal_effort": lambda: simulate_minimal_effort(40, _BLOCK_TRIALS, stream),
-        "simulate_compliance-fixed_sigma": compliance("fixed_sigma"),
-        "simulate_compliance-minimal_effort": compliance("minimal_effort"),
+        "simulate_compliance-fixed_sigma": lambda: simulate_compliance(scenario, "schedule"),
         "paradox_curve": lambda: paradox_curve(1.0, rule, [40],
                                                _BLOCK_TRIALS, stream),
         "expected_max_monte_carlo": lambda: expected_max_monte_carlo(40, 1.0, _BLOCK_TRIALS,
@@ -720,24 +690,10 @@ class TestBruteForceEquivalence:
             n, sigma, [wide_rule.threshold, wide_rule.entry_for(n)[1]], BRUTE_TRIALS,
             np.random.default_rng(2000 + n))
         for kind, oracle in zip(("fixed_threshold", "schedule"), oracles):
-            scenario = DesignScenario(mode="fixed_sigma", sigma_true=sigma, rule=wide_rule,
+            scenario = DesignScenario(sigma_true=sigma, rule=wide_rule,
                                       n_performed=n, trials=LIBRARY_TRIALS,
                                       stream=SeededStream(seed=32, stream_index=3))
             report = simulate_compliance(scenario, kind)
-            assert agree(report.estimate, report.standard_error, oracle)
-
-    @pytest.mark.parametrize("n", COUNTS[1:])
-    def test_minimal_effort_compliance(self, wide_rule, n):
-        for kind in ("fixed_threshold", "schedule"):
-            scenario = DesignScenario(mode="minimal_effort", sigma_true=1.0, rule=wide_rule,
-                                      n_performed=n, trials=LIBRARY_TRIALS,
-                                      stream=SeededStream(seed=33, stream_index=3))
-            report = simulate_compliance(scenario, kind)
-            applied = wide_rule.threshold if kind == "fixed_threshold" \
-                else wide_rule.entry_for(n)[1]
-            oracle = bruteforce.minimal_effort_rejections(
-                1, n, applied / wide_rule.threshold, BRUTE_TRIALS,
-                np.random.default_rng(3000 + n))
             assert agree(report.estimate, report.standard_error, oracle)
 
     def test_paradox_curve(self, wide_rule):
@@ -786,17 +742,27 @@ def every_entry_point(rule):
     """The result of every Monte Carlo entry point at INVARIANCE_TRIALS."""
     stream = SeededStream(seed=41, stream_index=1)
     results = [simulate_minimal_effort(40, INVARIANCE_TRIALS, stream)]
-    for mode in ("fixed_sigma", "minimal_effort"):
-        for kind in ("fixed_threshold", "schedule"):
-            scenario = DesignScenario(mode=mode, sigma_true=1.0, rule=rule, n_performed=40,
-                                      trials=INVARIANCE_TRIALS, stream=stream)
-            results.append(simulate_compliance(scenario, kind))
+    for kind in ("fixed_threshold", "schedule"):
+        scenario = DesignScenario(sigma_true=1.0, rule=rule, n_performed=40,
+                                  trials=INVARIANCE_TRIALS, stream=stream)
+        results.append(simulate_compliance(scenario, kind))
     results.append(paradox_curve(1.0, rule, [2, 40, 640],
                                  INVARIANCE_TRIALS, stream))
     results.append(estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR,
                                                    INVARIANCE_TRIALS, stream))
     results.append(expected_max_monte_carlo(40, 1.5, INVARIANCE_TRIALS, stream))
     return results
+
+
+@st.composite
+def cells_near_block_edges(draw):
+    """A block size and cell counts whose cell edges fall on, just before or
+    just after a block edge; repeated edges make cells of no trials."""
+    block = draw(st.integers(1, 8))
+    edge = st.builds(lambda k, d: max(0, k * block + d),
+                     st.integers(0, 6), st.sampled_from([-1, 0, 1]))
+    edges = sorted(draw(st.lists(edge, min_size=1, max_size=10)))
+    return block, np.diff([0, *edges]).tolist()
 
 
 class _BlockFailure(Exception):
@@ -857,9 +823,33 @@ class TestWorkerCountInvariance:
         monkeypatch.setattr(paradox, "_WORKERS", workers)
         stream = SeededStream(seed=42)
         index = block_index(stream)
-        assert _map_blocks(stream, INVARIANCE_TRIALS,
-                           lambda gen, size: (index[gen.random()], size)) == [
+        assert _map_blocks(stream, [INVARIANCE_TRIALS],
+                           lambda gen, _, size: (index[gen.random()], size)) == [
             (0, _BLOCK_TRIALS), (1, _BLOCK_TRIALS), (2, _BLOCK_TRIALS), (3, 777)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(cells=cells_near_block_edges())
+    def test_block_counts_split_the_cells(self, workers, cells):
+        block, counts = cells
+        stream = SeededStream(seed=45)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(paradox, "_BLOCK_TRIALS", block)
+            patch.setattr(paradox, "_WAVE_BLOCKS", 3)
+            patch.setattr(paradox, "_WORKERS", workers)
+            parts = _map_blocks(stream, counts, lambda gen, block_counts, size: (
+                gen.random(), block_counts.tolist(), size))
+        total = sum(counts)
+        assert [size for _, _, size in parts] == [
+            min(block, total - start) for start in range(0, total, block)]
+        assert all(sum(block_counts) == size for _, block_counts, size in parts)
+        # the trials lie cell after cell: the blocks' cell labels, read in
+        # block order, are the cells' labels in order
+        assert [cell for _, block_counts, _ in parts
+                for cell, count in enumerate(block_counts) for _ in range(count)] == [
+            cell for cell, count in enumerate(counts) for _ in range(count)]
+        assert [draw for draw, _, _ in parts] == [
+            stream.generator(b).random() for b in range(len(parts))]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("failing", [(1,), (1, 2), (1, 3)])
@@ -869,7 +859,7 @@ class TestWorkerCountInvariance:
         stream = SeededStream(seed=42)
         index = block_index(stream)
 
-        def block(gen, size):
+        def block(gen, _, size):
             b = index[gen.random()]
             if b in failing:
                 raise _BlockFailure(b)
@@ -877,7 +867,7 @@ class TestWorkerCountInvariance:
 
         threads_before = threading.active_count()
         with pytest.raises(_BlockFailure) as exc:
-            call_with_deadline(lambda: _map_blocks(stream, INVARIANCE_TRIALS, block))
+            call_with_deadline(lambda: _map_blocks(stream, [INVARIANCE_TRIALS], block))
         assert exc.value.args == (1,)
         assert threading.active_count() == threads_before
 
@@ -889,7 +879,7 @@ class TestWorkerCountInvariance:
         index = block_index(stream)
         finished = []
 
-        def block(gen, size):
+        def block(gen, _, size):
             b = index[gen.random()]
             if b == 0:
                 raise _BlockFailure(b)
@@ -898,7 +888,7 @@ class TestWorkerCountInvariance:
             return (b,)
 
         with pytest.raises(_BlockFailure):
-            call_with_deadline(lambda: _map_blocks(stream, INVARIANCE_TRIALS, block))
+            call_with_deadline(lambda: _map_blocks(stream, [INVARIANCE_TRIALS], block))
         assert sorted(finished) == [b for b in range(INVARIANCE_BLOCKS) if b % workers]
 
     def test_stress_more_threads_than_cores(self, monkeypatch):
@@ -909,7 +899,7 @@ class TestWorkerCountInvariance:
         stream = SeededStream(seed=43)
         trials = 16 * 200 + 5
 
-        def block(gen, size):
+        def block(gen, _, size):
             draw = gen.random()
             if draw in failing:
                 raise _BlockFailure(failing[draw])
@@ -917,16 +907,16 @@ class TestWorkerCountInvariance:
 
         failing = {}
         monkeypatch.setattr(paradox, "_WORKERS", 1)
-        expected = _map_blocks(stream, trials, block)
+        expected = _map_blocks(stream, [trials], block)
         failing = {expected[b][0]: b for b in (150, 38, 37)}
         monkeypatch.setattr(paradox, "_WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with pytest.raises(_BlockFailure) as exc:
-                call_with_deadline(lambda: _map_blocks(stream, trials, block))
+                call_with_deadline(lambda: _map_blocks(stream, [trials], block))
             failing = {}
-            results = call_with_deadline(lambda: _map_blocks(stream, trials, block))
+            results = call_with_deadline(lambda: _map_blocks(stream, [trials], block))
         finally:
             sys.setswitchinterval(interval)
         assert exc.value.args == (37,)
@@ -947,19 +937,18 @@ class TestWorkerCountInvariance:
         monkeypatch.setattr(paradox, "_WAVE_BLOCKS", 3)
         every_entry_point(wide_rule)
         assert {ident for ident, _, _ in calls} == {threading.get_ident()}
-        # four runs of the block plan; the two fixed_sigma simulations and
+        # two runs of the block plan; the two compliance simulations and
         # the three curve rows make one generator each, row r on
         # stream.child(r); the verify row makes one for its counts, then
         # its undecided blocks on stream.child(0) and the blocks of runs
         # that may exceed on stream.child(1)
         plan = [(b,) for b in range(INVARIANCE_BLOCKS)]
         paths = [(row, path) for _, row, path in calls]
-        verify = paths[len(plan) * 3 + 5:-len(plan)]
+        verify = paths[len(plan) + 5:-len(plan)]
         undecided = sum(row == (0,) for row, _ in verify)
         maybe = len(verify) - 1 - undecided
         assert undecided >= 1
         assert paths == (
-            [((), b) for b in plan] + [((), ())] * 2 + [((), b) for b in plan * 2]
-            + [((r,), ()) for r in range(3)]
+            [((), b) for b in plan] + [((), ())] * 2 + [((r,), ()) for r in range(3)]
             + [((), ())] + [((0,), (b,)) for b in range(undecided)]
             + [((1,), (b,)) for b in range(maybe)] + [((), b) for b in plan])
