@@ -20,7 +20,6 @@ from .calibration import (
     threshold_schedule,
 )
 from .errors import (
-    ConfigurationError,
     DomainError,
     InfeasibilityError,
     InfeasibleConditioningError,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationResult",
-    "ConfigurationError",
     "DesignScenario",
     "DomainError",
     "EULER_GAMMA",

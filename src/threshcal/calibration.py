@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
-    ConfigurationError,
     DomainError,
     InfeasibilityError,
     InfeasibleConditioningError,
@@ -122,19 +121,16 @@ class StandardRule:
     The first entry is the required count with its test threshold; the
     later entries extend it to practitioners who measure more.  The counts
     are integers in [1, 2**36], strictly increasing, and the thresholds
-    finite and non-decreasing; any other schedule raises ConfigurationError.
+    finite and non-decreasing; any other schedule raises DomainError.
     """
 
     schedule: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        try:
-            counts = _require_counts("schedule counts", [n for n, _ in self.schedule])
-            thresholds = [_require_finite("schedule threshold", t) for _, t in self.schedule]
-        except DomainError as exc:
-            raise ConfigurationError(str(exc)) from exc
+        counts = _require_counts("schedule counts", [n for n, _ in self.schedule])
+        thresholds = [_require_finite("schedule threshold", t) for _, t in self.schedule]
         if any(a > b for a, b in zip(thresholds, thresholds[1:])):
-            raise ConfigurationError(
+            raise DomainError(
                 f"schedule thresholds must be non-decreasing, got {thresholds}")
         object.__setattr__(self, "schedule", tuple(zip(counts, thresholds)))
 
@@ -156,7 +152,7 @@ class StandardRule:
         ns = [n for n, _ in self.schedule]
         idx = _bisect.bisect_right(ns, n_prime) - 1
         if idx < 0:
-            raise ConfigurationError(
+            raise DomainError(
                 f"no schedule entry at or below n' = {n_prime} (first entry is {ns[0]})")
         return self.schedule[idx]
 

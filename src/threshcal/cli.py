@@ -63,7 +63,6 @@ from .calibration import (
     threshold_schedule,
 )
 from .errors import (
-    ConfigurationError,
     DomainError,
     InfeasibilityError,
     InfeasibleConditioningError,
@@ -103,13 +102,9 @@ _JOB_FIELDS = ("q0", "p0", "n", "n_list", "prior", "cap_at_q0", "tol", "trials",
 _PRIOR_FIELDS = ("type", "sigma_lo", "sigma_hi")
 
 
-class JobError(ValueError):
-    """Malformed job file or schedule input."""
-
-
 @dataclass(frozen=True)
 class JobSpec:
-    """A fully resolved batch job; a field failing a library check raises JobError."""
+    """A fully resolved batch job; any field that fails a check raises DomainError."""
 
     spec: SafetySpec
     prior: SigmaPrior
@@ -121,20 +116,17 @@ class JobSpec:
     seed: int
 
     def __post_init__(self):
-        try:
-            _require_count("n", self.n_required)
-            object.__setattr__(self, "n_list", _require_counts("n_list", self.n_list))
-            object.__setattr__(self, "tol", _require_finite("tol", self.tol))
-            _require_count("trials", self.trials)
-            SeededStream(seed=self.seed)
-        except DomainError as exc:
-            raise JobError(str(exc)) from exc
+        _require_count("n", self.n_required)
+        object.__setattr__(self, "n_list", _require_counts("n_list", self.n_list))
+        object.__setattr__(self, "tol", _require_finite("tol", self.tol))
+        _require_count("trials", self.trials)
+        SeededStream(seed=self.seed)
         if self.n_list[0] != self.n_required:
-            raise JobError(
+            raise DomainError(
                 f"the first n_list entry must equal n ({self.n_required}), "
                 f"got {self.n_list[0]}")
         if not 0.0 < self.tol < 1.0:
-            raise JobError(f"tol must lie in (0, 1), got {self.tol!r}")
+            raise DomainError(f"tol must lie in (0, 1), got {self.tol!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -154,31 +146,28 @@ class JobSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
         if not isinstance(data, dict):
-            raise JobError(f"job file must hold a JSON object, got {type(data).__name__}")
+            raise DomainError(f"job file must hold a JSON object, got {type(data).__name__}")
         unknown = sorted(set(data) - set(_JOB_FIELDS))
         if unknown:
-            raise JobError(f"unknown job fields: {', '.join(unknown)}")
+            raise DomainError(f"unknown job fields: {', '.join(unknown)}")
         n_list = data.get("n_list")
         if not isinstance(n_list, (list, type(None))):
-            raise JobError("n_list must be a list of integers")
+            raise DomainError("n_list must be a list of integers")
         prior_data = data.get("prior", {})
         if not isinstance(prior_data, dict):
-            raise JobError("prior must be an object")
+            raise DomainError("prior must be an object")
         unknown = sorted(set(prior_data) - set(_PRIOR_FIELDS))
         if unknown:
-            raise JobError(f"unknown prior fields: {', '.join(unknown)}")
+            raise DomainError(f"unknown prior fields: {', '.join(unknown)}")
         cap = data.get("cap_at_q0", True)
         if not isinstance(cap, bool):
-            raise JobError(f"cap_at_q0 must be a boolean, got {cap!r}")
-        try:
-            spec = SafetySpec(q0=data.get("q0", 1.0), p0=data.get("p0", 0.01))
-            # n is checked here, before the default n_list is built from it
-            n = _require_count("n", data.get("n", 40))
-            prior = SigmaPrior(prior_data.get("type", "log_uniform"),
-                               prior_data.get("sigma_lo", spec.q0 / 100.0),
-                               prior_data.get("sigma_hi", 10.0 * spec.q0))
-        except DomainError as exc:
-            raise JobError(str(exc)) from exc
+            raise DomainError(f"cap_at_q0 must be a boolean, got {cap!r}")
+        spec = SafetySpec(q0=data.get("q0", 1.0), p0=data.get("p0", 0.01))
+        # n is checked here, before the default n_list is built from it
+        n = _require_count("n", data.get("n", 40))
+        prior = SigmaPrior(prior_data.get("type", "log_uniform"),
+                           prior_data.get("sigma_lo", spec.q0 / 100.0),
+                           prior_data.get("sigma_hi", 10.0 * spec.q0))
         return cls(spec=spec, prior=prior, n_required=n,
                    n_list=[n * 2**k for k in range(5)] if n_list is None else n_list,
                    cap_at_q0=cap, tol=data.get("tol", 1e-4),
@@ -190,7 +179,7 @@ class JobSpec:
         try:
             data = json.loads(text)
         except (ValueError, RecursionError) as exc:   # also too many digits or too deep
-            raise JobError(f"job file {path} is not valid JSON: {exc}") from exc
+            raise DomainError(f"job file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
 
@@ -199,7 +188,7 @@ def _read_text(path: str, what: str) -> str:
         with open(path, "r", encoding="utf-8-sig") as fh:   # a leading BOM is dropped
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise JobError(f"cannot read {what} {path}: {exc}") from exc
+        raise DomainError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -256,23 +245,27 @@ def cmd_schedule(job: JobSpec) -> tuple[int, str]:
 def _parse_schedule_csv(text: str) -> list[tuple[int, float]]:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if len(lines) < 2:
-        raise JobError("schedule input needs a header row and at least one entry")
+        raise DomainError("schedule input needs a header row and at least one entry")
     header = [h.strip() for h in lines[0].split(",")]
     if "n_prime" not in header or "threshold" not in header:
-        raise JobError("schedule header must name n_prime and threshold columns")
-    i_n = header.index("n_prime")
-    i_t = header.index("threshold")
+        raise DomainError("schedule header must name n_prime and threshold columns")
+    i_n, i_t = header.index("n_prime"), header.index("threshold")
     rows = []
     for line in lines[1:]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != len(header):
-            raise JobError(f"schedule row has {len(parts)} fields, expected {len(header)}: {line}")
+            raise DomainError(f"schedule row has {len(parts)} fields, expected {len(header)}: {line}")
+        numbers = parts[i_n] + parts[i_t]
         try:
+            # int() and float() also take "_" separators and non-ASCII digits
+            if "_" in numbers or not numbers.isascii():
+                raise ValueError(numbers)
             rows.append((int(parts[i_n]), float(parts[i_t])))
         except ValueError as exc:
-            raise JobError(f"unparseable schedule row: {line}") from exc
+            raise DomainError(f"unparseable schedule row: {line}") from exc
     _require_counts("n_prime", [n for n, _ in rows])
-    return rows
+    # a non-finite threshold fails here, before any row runs
+    return [(n, _require_finite("threshold", t)) for n, t in rows]
 
 
 def cmd_verify(job: JobSpec, schedule_text: str) -> tuple[int, str]:
@@ -366,11 +359,10 @@ def cmd_expected_max(n: int, sigma: float, method: str, trials: int,
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse maps usage errors to exit 2; this surface reserves 2 for
-    infeasibility, so usage errors are rethrown as input errors."""
+    """argparse exits 2 on a usage error, but 2 means infeasible here: raise DomainError."""
 
     def error(self, message):
-        raise JobError(message)
+        raise DomainError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,7 +415,7 @@ def _emit(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise JobError(f"cannot write output file {out_path}: {exc}") from exc
+        raise DomainError(f"cannot write output file {out_path}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -444,7 +436,7 @@ def main(argv=None) -> int:
         else:
             code, text = cmd_simulate(_load_job(args), args.mode)
         _emit(text, args.out)
-    except (JobError, DomainError, ConfigurationError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (InfeasibilityError, InfeasibleConditioningError, SolverError) as exc:

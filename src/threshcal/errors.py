@@ -1,8 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, with the command line's exit
+code for each: DomainError 1; InfeasibilityError, InfeasibleConditioningError,
+SolverError and IntegrationError 2."""
 
 
 class DomainError(ValueError):
-    """Input outside a function's documented domain (non-finite, wrong sign, ...)."""
+    """Bad input, the package's one input-error type: an argument outside a
+    function's documented domain, an inconsistent threshold schedule, or a
+    malformed job file, schedule file or command line."""
 
 
 class IntegrationError(RuntimeError):
@@ -28,7 +32,3 @@ class InfeasibilityError(RuntimeError):
 
 class SolverError(RuntimeError):
     """Threshold bracketing failed to enclose a solution."""
-
-
-class ConfigurationError(ValueError):
-    """Inconsistent rule or scenario configuration."""

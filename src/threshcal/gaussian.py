@@ -442,6 +442,15 @@ def integrate(f: Callable, lo: float, hi: float,
     return (best, math.fsum(seg[5] for seg in heap)) if pair else best
 
 
+def _require_index(name: str, i: int) -> int:
+    """i as an int >= 0: a stream index or a stream path entry."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {i!r}")
+    if i < 0:
+        raise DomainError(f"{name} must be >= 0, got {i}")
+    return int(i)
+
+
 @dataclass(frozen=True)
 class SeededStream:
     """Address of a reproducible random stream.
@@ -461,17 +470,12 @@ class SeededStream:
             raise DomainError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= int(self.seed) <= _U64_MAX:
             raise DomainError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
-        if isinstance(self.stream_index, bool) or not isinstance(self.stream_index, (int, np.integer)):
-            raise DomainError(f"stream_index must be an integer, got {self.stream_index!r}")
-        if int(self.stream_index) < 0:
-            raise DomainError(f"stream_index must be >= 0, got {self.stream_index}")
-        object.__setattr__(self, "path", tuple(int(p) for p in self.path))
-        if any(p < 0 for p in self.path):
-            raise DomainError(f"path entries must be >= 0, got {self.path}")
+        _require_index("stream_index", self.stream_index)
+        object.__setattr__(self, "path", tuple(_require_index("path entry", p) for p in self.path))
 
     def child(self, *path: int) -> "SeededStream":
         """Substream address extended by the given derivation path."""
-        return SeededStream(self.seed, self.stream_index, self.path + tuple(int(p) for p in path))
+        return SeededStream(self.seed, self.stream_index, self.path + path)
 
     def generator(self, *path: int) -> np.random.Generator:
         """Generator for this stream, or a derived substream.
@@ -485,6 +489,6 @@ class SeededStream:
         """
         key = np.random.SeedSequence(entropy=int(self.seed),
                                      spawn_key=(int(self.stream_index), *self.path,
-                                                *map(int, path)))
+                                                *(_require_index("path entry", p) for p in path)))
         return np.random.Generator(np.random.SFC64(key))
 

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calibration import SafetySpec, SigmaPrior, StandardRule
-from .errors import ConfigurationError, DomainError, InfeasibleConditioningError
+from .errors import DomainError, InfeasibleConditioningError
 from .gaussian import (
     _INV_SQRT2,
     SeededStream,
@@ -307,7 +307,7 @@ def paradox_curve(sigma_true: float, rule: StandardRule, n_list: Sequence[int],
     max_tabulated = rule.schedule[-1][0]
     for n_prime in counts:
         if not rule.n_required <= n_prime <= max_tabulated:
-            raise ConfigurationError(
+            raise DomainError(
                 f"n' = {n_prime} outside the schedule's tabulated range "
                 f"[{rule.n_required}, {max_tabulated}]")
 

@@ -36,7 +36,6 @@ from threshcal.calibration import (
     threshold_schedule,
 )
 from threshcal.errors import (
-    ConfigurationError,
     DomainError,
     InfeasibilityError,
     InfeasibleConditioningError,
@@ -593,7 +592,7 @@ class TestEntryFor:
         assert self.RULE.entry_for(10**6) == (160, 2.0)
 
     def test_count_below_the_first_entry_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="no schedule entry"):
+        with pytest.raises(DomainError, match="no schedule entry"):
             self.RULE.entry_for(39)
 
 
@@ -618,9 +617,9 @@ class TestDomainTypes:
         assert SigmaPrior.point(2.0).kind == "point"
 
     def test_standard_rule_validation(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             StandardRule(schedule=((40, 1.0), (30, 1.1)))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             StandardRule(schedule=((40, 1.0), (80, 0.9)))
         # every entry is checked, not only the first
         for schedule in (((40, 1.0), (80, math.nan)),
@@ -628,7 +627,7 @@ class TestDomainTypes:
                          ((40, 1.0), (80.9, 1.1)),
                          ((True, 1.0), (80, 1.1)),
                          ((40, 1.0), (2**40, 1.1))):
-            with pytest.raises(ConfigurationError, match="schedule"):
+            with pytest.raises(DomainError, match="schedule"):
                 StandardRule(schedule=schedule)
 
     def test_calibration_result_validation(self):

@@ -16,11 +16,10 @@ from threshcal.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    JobError,
     JobSpec,
     main,
 )
-from threshcal.errors import IntegrationError
+from threshcal.errors import DomainError, IntegrationError
 from threshcal.gaussian import std_normal_quantile
 
 
@@ -64,27 +63,27 @@ class TestJobSpec:
         assert (job.prior.sigma_lo, job.prior.sigma_hi) == (0.04, 40.0)
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(JobError, match="unknown job fields: sigma_true"):
+        with pytest.raises(DomainError, match="unknown job fields: sigma_true"):
             JobSpec.from_dict({"sigma_true": 1.0})
-        with pytest.raises(JobError, match="unknown prior fields"):
+        with pytest.raises(DomainError, match="unknown prior fields"):
             JobSpec.from_dict({"prior": {"type": "point", "width": 2}})
 
     def test_type_errors(self):
-        with pytest.raises(JobError):
+        with pytest.raises(DomainError):
             JobSpec.from_dict({"n": 40.5})
-        with pytest.raises(JobError):
+        with pytest.raises(DomainError):
             JobSpec.from_dict({"cap_at_q0": "yes"})
-        with pytest.raises(JobError):
+        with pytest.raises(DomainError):
             JobSpec.from_dict({"n_list": "40,80"})
 
     def test_n_list_must_start_at_n(self):
-        with pytest.raises(JobError):
+        with pytest.raises(DomainError):
             JobSpec.from_dict({"n": 40, "n_list": [80, 160]})
 
     def test_invalid_spec_values(self):
-        with pytest.raises(JobError):
+        with pytest.raises(DomainError):
             JobSpec.from_dict({"q0": -1.0})
-        with pytest.raises(JobError):
+        with pytest.raises(DomainError):
             JobSpec.from_dict({"p0": 0.6})
 
 
@@ -547,9 +546,30 @@ class TestUnreadableInputs:
     @pytest.mark.parametrize("rows,message", [
         ("80,0.6\n40,0.5\n", "n_prime must be strictly increasing"),
         ("0,0.5\n", "n_prime entry must be >= 1"),
-    ], ids=["unsorted", "zero"])
+        ("+40,1\n-80,1\n", "n_prime entry must be >= 1, got -80"),
+    ], ids=["unsorted", "zero", "signed"])
     def test_schedule_counts_are_checked(self, capsys, tmp_path, rows, message):
         schedule = tmp_path / "schedule.csv"
         schedule.write_text("n_prime,threshold\n" + rows)
         self._assert_input_error(capsys, "verify", "--schedule", str(schedule),
                                  message=message)
+
+    @pytest.mark.parametrize("rows", [
+        "4_0,1.0\n", "40,1_2.5\n", "٤٠,1\n", "40,١.5\n",
+    ], ids=["count-underscore", "threshold-underscore", "arabic-indic-count",
+            "arabic-indic-threshold"])
+    def test_schedule_numbers_must_be_ascii_decimals(self, capsys, tmp_path, rows):
+        # int() and float() alone take these, as 40 and 12.5 and 1.5
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_text("n_prime,threshold\n" + rows, encoding="utf-8")
+        self._assert_input_error(capsys, "verify", "--schedule", str(schedule),
+                                 message=f"unparseable schedule row: {rows.strip()}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_threshold_fails_before_any_row_runs(self, capsys, tmp_path, value):
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_text(f"n_prime,threshold\n40,1\n80,{value}\n")
+        code, out, err = run_cli(capsys, "verify", "--trials", "1000",
+                                 "--schedule", str(schedule))
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == f"error: threshold must be finite, got {float(value)!r}\n"

@@ -467,12 +467,23 @@ class TestSeededStream:
         with pytest.raises(DomainError):
             SeededStream(seed=seed, stream_index=index)
 
+    @pytest.mark.parametrize("entry", [1.9, True, "x", -1, np.float64(1.0)])
+    def test_rejects_bad_path_entries(self, entry):
+        # int() would truncate 1.9 and True to the address of path entry 1
+        stream = SeededStream(seed=3, stream_index=1)
+        message = "path entry must be >= 0" if entry == -1 else "path entry must be an integer"
+        for make in (lambda: SeededStream(3, 1, (entry,)), lambda: stream.child(entry),
+                     lambda: stream.generator(entry), lambda: stream.child(0).generator(entry)):
+            with pytest.raises(DomainError, match=message):
+                make()
+
 
 class TestStreamContract:
     """The draws a stream address gives are part of the output format."""
 
     @pytest.mark.parametrize("seed,index,path,sub", [
         (0, 0, (), ()), (42, 3, (), (7,)), (2**64 - 1, 4, (2, 5), (0,)), (91, 1, (4,), (1, 2)),
+        (91, 1, (np.int64(4),), (np.uint8(1), 2)),
     ])
     def test_generator_is_sfc64_on_the_spawn_key(self, seed, index, path, sub):
         rng = SeededStream(seed, index, path).generator(*sub)

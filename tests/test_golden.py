@@ -22,6 +22,14 @@ minimal_effort` and `expected-max --n 40` at 3 * 2**16 + 777 trials.  They
 were recorded at commit 809c8fc, before the block drivers were merged into
 one, so they pin that the merge moves no byte.
 
+Seven input-error cases pin exit 1 and the exact stderr of a bad job, a
+bad flag, a bad schedule, an unknown subcommand and a missing job file.
+They were recorded at commit f5e44c8, while the CLI still re-raised the
+library's DomainError as a CLI-only input-error type, so they pin that
+one input-error type moves no byte.  The unknown-subcommand message is
+argparse's own wording, recorded under Python 3.11.  They run in a temporary working directory with
+relative paths, so no message names a machine-specific path.
+
 Every Monte Carlo case (paradox, and the three block-driver cases) holds
 the bytes of one numpy version's generators: a numpy release that changes
 a sampling routine changes them, and they are then recorded again.
@@ -57,6 +65,21 @@ DRIVER_CASES = {
         ("expected-max", "--n", "40", "--trials", MULTI_BLOCK_TRIALS),
 }
 
+# name: (job file fields, or None for no job file; schedule CSV; argv)
+ERROR_CASES = {
+    "calibrate-unknown-job-field":
+        ({"colour": "red"}, DEFAULT_SCHEDULE, ("calibrate", "--job", "job.json")),
+    "calibrate-trials=0": (None, DEFAULT_SCHEDULE, ("calibrate", "--trials", "0")),
+    "schedule-decreasing-n_list":
+        ({"n_list": [40, 20]}, DEFAULT_SCHEDULE, ("schedule", "--job", "job.json")),
+    "calibrate-gamma-prior":
+        ({"prior": {"type": "gamma"}}, DEFAULT_SCHEDULE, ("calibrate", "--job", "job.json")),
+    "verify-no-threshold-column":
+        (None, "n_prime,t\n40,1\n", ("verify", "--schedule", "s.csv")),
+    "unknown-subcommand": (None, DEFAULT_SCHEDULE, ("frobnicate",)),
+    "calibrate-missing-job-file": (None, DEFAULT_SCHEDULE, ("calibrate", "--job", "missing.json")),
+}
+
 
 def case_id(kind: str, n: int, p0: float, cap: bool) -> str:
     return f"{kind}-n={n}-p0={p0:g}-{'capped' if cap else 'uncapped'}"
@@ -80,7 +103,8 @@ def golden():
 
 
 def test_golden_file_covers_every_case(golden):
-    assert sorted(golden) == sorted([*(case_id(*case) for case in CASES), *DRIVER_CASES])
+    assert sorted(golden) == sorted([*(case_id(*case) for case in CASES), *DRIVER_CASES,
+                                     *ERROR_CASES])
 
 
 @pytest.mark.parametrize("kind,n,p0,cap", CASES, ids=[case_id(*case) for case in CASES])
@@ -96,3 +120,21 @@ def test_block_driver_bytes_match_golden(name, golden, tmp_path, capsys):
     code = main([arg.format(schedule=schedule) for arg in DRIVER_CASES[name]])
     captured = capsys.readouterr()
     assert {"code": code, "stdout": captured.out, "stderr": captured.err} == golden[name]
+
+
+def run_error_case(name: str, workdir: Path, monkeypatch, capsys) -> dict:
+    fields, schedule, argv = ERROR_CASES[name]
+    monkeypatch.chdir(workdir)
+    if fields is not None:
+        Path("job.json").write_text(json.dumps(fields), encoding="utf-8")
+    Path("s.csv").write_text(schedule, encoding="utf-8")
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return {"code": code, "stdout": captured.out, "stderr": captured.err}
+
+
+@pytest.mark.parametrize("name", ERROR_CASES)
+def test_input_error_bytes_match_golden(name, golden, tmp_path, monkeypatch, capsys):
+    result = run_error_case(name, tmp_path, monkeypatch, capsys)
+    assert result["code"] == 1
+    assert result == golden[name]

@@ -31,7 +31,7 @@ from threshcal.calibration import (
     marginal_exceedance,
     threshold_schedule,
 )
-from threshcal.errors import ConfigurationError, DomainError, InfeasibleConditioningError
+from threshcal.errors import DomainError, InfeasibleConditioningError
 from threshcal.gaussian import (
     SeededStream,
     log_std_normal_cdf,
@@ -171,7 +171,7 @@ class TestParadoxCurve:
             assert p.rejection_schedule <= p.rejection_fixed + 4 * se
 
     def test_rejects_counts_outside_schedule(self, uncapped_rule):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             paradox_curve(0.5, uncapped_rule, [40, 1280],
                           trials=10, stream=SeededStream(seed=0))
 
