@@ -400,6 +400,8 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             stop_reason = "bisection_cap"
             break
         mid = 0.5 * (lo + hi)
+        if mid == math.inf:   # lo + hi overflowed; halving each first is exact up here
+            mid = 0.5 * lo + 0.5 * hi
         ce_mid = conditional_exceedance(spec, mid, n, prior)
         iterations += 1
         if ce_mid > spec.p0:

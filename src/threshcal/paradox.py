@@ -13,8 +13,8 @@ once and compares its row maximum against cutoffs:
 
 * at a fixed scale, "max * sigma <= t" is exactly ln U <= n ln Phi(t/sigma),
   one cutoff per threshold; a count of exceedances is one binomial draw;
-* "one further draw exceeds the maximum of n" is exactly n ln V > ln U for
-  a second uniform V, a Bernoulli(1/(n+1)) event;
+* "one further draw exceeds the maximum of n" is exactly a
+  Bernoulli(1/(n+1)) event, so its count is one binomial draw too;
 * where the value of the maximum is needed (a random scale, a mean, a
   ratio of two maxima) it is std_normal_quantile_log(ln U / n).
 
@@ -32,19 +32,14 @@ One driver, _map_blocks, runs every simulated kernel over a fixed plan of
 _BLOCK_TRIALS-trial blocks, its trials lying cell after cell (the screen's
 cells of ln sigma, or one cell): block b draws from stream.generator(b)
 and reduces to integer counts or to float sums that depend only on the
-block's own values.  The blocks are independent, so they run on every core
-the process may use (_WORKERS, from its CPU affinity; there is no setting).
-Every generator is made on the calling thread in block order, and the
-results are combined in block order, so neither the thread count nor the
-order in which blocks finish can change a bit: the result is bit-identical
-per seed.
+block's own values.  The blocks run one after another, in block order,
+and their results are combined in that order, so the result is
+bit-identical per seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,17 +68,6 @@ EULER_GAMMA = 0.5772156649015329
 # Trials per block of the fixed block plan; a block's temporaries stay at a
 # few arrays of this length whatever the measurement count.
 _BLOCK_TRIALS = 1 << 16
-
-# Threads that run the blocks of one simulation, at most one per block:
-# the cores this process may run on.
-try:
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:   # no CPU affinity on this platform
-    _WORKERS = os.cpu_count() or 1
-
-# Blocks whose generators (about 1 KB each) are made and held at once, so
-# the largest plan (2^20 blocks) does not hold a million of them.
-_WAVE_BLOCKS = 256
 
 # Floor on the standard exponential behind ln U.  The generator can return
 # exactly 0 (ln U = 0, an infinite maximum); every other value it returns
@@ -179,45 +163,16 @@ def _map_blocks(stream: SeededStream, counts: Sequence[int],
     A block's counts are how many of its size trials each cell holds; a
     kernel without cells passes one cell, [trials].
 
-    The generators are made here, on the calling thread, in block order,
-    _WAVE_BLOCKS at a time.  Each wave's blocks then run on
-    min(_WORKERS, blocks) threads: the calling thread is one of them,
-    thread w takes the wave's blocks w, w + workers, ..., and with one
-    worker no thread is started.  The numpy calls in a block release the
-    GIL, so the threads overlap.  A failing block stops its own thread;
-    once every thread of the wave has finished, the exception of the
-    lowest failing block is raised, which is the one a plain loop would
-    raise.
+    Block b's generator, stream.generator(b), is made just before the
+    block runs.
     """
     bounds = np.concatenate(([0], np.cumsum(counts)))
     total = int(bounds[-1])
-    starts = range(0, total, _BLOCK_TRIALS)
-    results: list = [None] * len(starts)
-    failures: list[tuple[int, BaseException]] = []
-
-    def run(first: int, gens: list, workers: int, w: int) -> None:
-        for b in range(first + w, first + len(gens), workers):
-            start = starts[b]
-            stop = min(start + _BLOCK_TRIALS, total)
-            try:
-                results[b] = block_fn(gens[b - first], np.diff(np.clip(bounds, start, stop)),
-                                      stop - start)
-            except BaseException as exc:   # re-raised on the calling thread
-                failures.append((b, exc))
-                return
-
-    for first in range(0, len(starts), _WAVE_BLOCKS):
-        gens = [stream.generator(b) for b in range(first, min(first + _WAVE_BLOCKS, len(starts)))]
-        workers = min(_WORKERS, len(gens))
-        threads = [threading.Thread(target=run, args=(first, gens, workers, w))
-                   for w in range(1, workers)]
-        for thread in threads:
-            thread.start()
-        run(first, gens, workers, 0)
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
+    results = []
+    for b, start in enumerate(range(0, total, _BLOCK_TRIALS)):
+        stop = min(start + _BLOCK_TRIALS, total)
+        results.append(block_fn(stream.generator(b), np.diff(np.clip(bounds, start, stop)),
+                                stop - start))
     return results
 
 
@@ -253,19 +208,12 @@ def simulate_minimal_effort(n: int, trials: int, stream: SeededStream) -> Simula
     threshold.  Rescaling by a positive factor preserves order, so the
     event reduces to "the extra raw draw exceeds the raw sample maximum"
     and the threshold value drops out; the expected frequency is the
-    exchangeability law 1/(n+1).  With the maximum as Phi^-1(U^(1/n)) and
-    the extra draw as Phi^-1(V), the event is n ln V > ln U.
+    exchangeability law 1/(n+1).  The count of exceedances is one
+    Binomial(trials, 1/(n+1)) draw from stream.generator().
     """
     n = _require_count("n", n)
     trials = _require_count("trials", trials)
-
-    def block(gen, _, size):
-        log_u = _log_uniform(gen, size)
-        log_v = _log_uniform(gen, size)
-        log_v *= n
-        return (int(np.count_nonzero(log_v > log_u)),)
-
-    exceed = sum(p[0] for p in _map_blocks(stream, [trials], block))
+    exceed = _draw_exceedance_counts(stream, trials, [-math.log1p(1.0 / n)])[0]
     return _binomial_report(exceed, trials, accepted_runs=trials)
 
 

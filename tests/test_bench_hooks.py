@@ -4,8 +4,7 @@
 `gaussian` and `paradox` by name, so a rename in the library breaks the
 traced benchmark run (`bench/run.py --trace 1`) without failing any other
 test.  The first test installs the tracer and uninstalls it again; the
-second checks that its counts stay exact while simulation blocks run on
-several threads.
+second checks that its draw and block counts stay exact.
 """
 
 from pathlib import Path
@@ -38,26 +37,16 @@ def test_tracer_patches_and_restores_every_hook(monkeypatch):
         assert all(new[key] is old[key] for key in old)
 
 
-# Draws per trial of the traced Monte Carlo kernels that draw every trial:
-# ln U and ln V; ln U.  A verify row (estimate_conditional_exceedance)
-# draws per-cell counts and simulates only the runs its screen leaves
-# undecided, so its draws are a small share of its trials.
-DRAWS_PER_TRIAL = {"simulate_minimal_effort": 2, "expected_max_monte_carlo": 1}
+def test_tracer_counts_stay_exact(monkeypatch, capsys, tmp_path):
+    """On the few-measurements workload, run twice, every block and every
+    draw is counted, and both runs count the same.
 
-
-def test_tracer_counts_stay_exact_with_block_threads(monkeypatch, capsys, tmp_path):
-    """On the few-measurements workload, run twice with two threads, every
-    block and every draw is counted.
-
-    This relies on behaviour nothing guarantees: CountingGenerator bumps
-    attrs["draws"] from the worker threads with an unlocked +=, which reads
-    the old count before it calls np.size, where the interpreter may switch
-    threads and lose the other thread's update.  That needs a forced switch
-    inside that call and has not been seen, but until the tracer counts
-    under a lock or per thread (ROADMAP item 9) a failure here can be that
-    race rather than a fault in the library."""
+    expected_max_monte_carlo draws ln U for every trial, in blocks of
+    _BLOCK_TRIALS; simulate_minimal_effort draws one binomial count per
+    call, from one generator.  A verify row (estimate_conditional_exceedance)
+    draws per-cell counts and simulates only the runs its screen leaves
+    undecided, so its draws are a small share of its trials."""
     monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.setattr(paradox, "_WORKERS", 2)
     import tracing
     import workloads
 
@@ -73,13 +62,16 @@ def test_tracer_counts_stay_exact_with_block_threads(monkeypatch, capsys, tmp_pa
             tracer.uninstall()
         capsys.readouterr()
         metrics = tracing.layer_metrics(tracer.spans)
-        for fn, per_trial in DRAWS_PER_TRIAL.items():
-            name = f"paradox.{fn}"
-            spans = [s for s in tracer.spans if s.name == name]
-            assert spans and metrics[f"{name}.trials"] > paradox._BLOCK_TRIALS
-            assert metrics[f"{name}.draws"] == per_trial * metrics[f"{name}.trials"]
-            assert metrics[f"{name}.blocks"] == sum(
-                -(-s.attrs["trials"] // paradox._BLOCK_TRIALS) for s in spans)
+        name = "paradox.expected_max_monte_carlo"
+        spans = [s for s in tracer.spans if s.name == name]
+        assert spans and metrics[f"{name}.trials"] > paradox._BLOCK_TRIALS
+        assert metrics[f"{name}.draws"] == metrics[f"{name}.trials"]
+        assert metrics[f"{name}.blocks"] == sum(
+            -(-s.attrs["trials"] // paradox._BLOCK_TRIALS) for s in spans)
+        name = "paradox.simulate_minimal_effort"
+        calls = metrics[f"{name}.calls"]
+        assert calls > 0 and metrics[f"{name}.trials"] > paradox._BLOCK_TRIALS
+        assert metrics[f"{name}.draws"] == metrics[f"{name}.blocks"] == calls
         verify = "paradox.estimate_conditional_exceedance"
         assert 0 < metrics[f"{verify}.draws"] < 0.05 * metrics[f"{verify}.trials"]
         assert metrics[f"{verify}.blocks"] > metrics[f"{verify}.calls"]

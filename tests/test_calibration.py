@@ -44,12 +44,15 @@ from threshcal.errors import (
 )
 from threshcal.gaussian import std_normal_quantile
 
-mpmath.mp.dps = 30
+# Working precision of the mpmath oracles, set inside each one so that no
+# test module's choice leaks into another's.
+ORACLE_DPS = 30
 
 DEMO = SafetySpec(q0=1.0, p0=0.01)
 DEMO_PRIOR = SigmaPrior.log_uniform(0.01, 10.0)
 
 
+@mpmath.workdps(ORACLE_DPS)
 def mp_conditional_exceedance(q0, threshold, n, sigma_lo, sigma_hi):
     """Posterior-predictive exceedance by arbitrary-precision quadrature."""
     t_lo, t_hi = mpmath.log(sigma_lo), mpmath.log(sigma_hi)
@@ -124,7 +127,8 @@ class TestMarginalExceedance:
     def test_against_quadrature_oracle(self):
         spec = SafetySpec(q0=2.0, p0=0.01)
         density = lambda t: mpmath.exp(-t * t / 2) / mpmath.sqrt(2 * mpmath.pi)
-        expected = float(mpmath.quad(density, [2, mpmath.inf]))
+        with mpmath.workdps(ORACLE_DPS):
+            expected = float(mpmath.quad(density, [2, mpmath.inf]))
         assert expected == pytest.approx(0.02275013194817921, abs=1e-15)
         assert marginal_exceedance(spec, 1.0) == pytest.approx(expected, rel=1e-12)
 
@@ -557,7 +561,8 @@ class TestAcceptanceProbability:
         assert doubled == pytest.approx(base * base, rel=1e-12)
 
     def test_reference_value(self):
-        expected = float(mpmath.ncdf(mpmath.mpf("3.2")) ** 40)
+        with mpmath.workdps(ORACLE_DPS):
+            expected = float(mpmath.ncdf(mpmath.mpf("3.2")) ** 40)
         assert expected == pytest.approx(0.9729, abs=5e-5)
         assert acceptance_probability(0.25, 0.8, 40) == pytest.approx(expected, rel=1e-12)
 

@@ -424,6 +424,8 @@ class TestMainNeverRaises:
     @example(q0=0.5, p0=0.01, scales=[4e-309, 10.0], n=40, cap=True)
     @example(q0=0.5, p0=0.01, scales=[5e-324, 10.0], n=1, cap=False)
     @example(q0=5e-324, p0=5e-324, scales=[5e-324, 10.0], n=1, cap=False)
+    @example(q0=1.872597015481579e306, p0=0.37109375,
+             scales=[1.8725970154814152e306, 2.890514518756931e307], n=1, cap=False)
     def test_exits_with_a_documented_code(self, tmp_path_factory, command, q0, p0,
                                           scales, n, cap):
         # every field is valid except where 1/sigma_lo overflows or the

@@ -37,15 +37,19 @@ from threshcal.gaussian import (
     std_normal_sf,
 )
 
-mpmath.mp.dps = 40
+# Working precision of the mpmath oracles, set inside each one so that no
+# test module's choice leaks into another's.
+ORACLE_DPS = 40
 
 
+@mpmath.workdps(ORACLE_DPS)
 def oracle_cdf(x):
     """Phi(x) by arbitrary-precision quadrature of the density."""
     density = lambda t: mpmath.exp(-t * t / 2) / mpmath.sqrt(2 * mpmath.pi)
     return mpmath.quad(density, [-mpmath.inf, x])
 
 
+@mpmath.workdps(ORACLE_DPS)
 def oracle_quantile(p, lo=-40, hi=40):
     """Bisection for Phi(z) = p against the quadrature oracle, to a bracket
     of 2**-60, far inside the 1e-12 its callers compare at."""
@@ -92,8 +96,11 @@ class TestStdNormalCdf:
     def test_sf_complements_cdf(self):
         for x in [-5.0, -0.7, 0.0, 1.3, 9.0]:
             assert std_normal_sf(x) == std_normal_cdf(-x)
-        # deep upper tail keeps relative accuracy instead of rounding to 0
-        assert std_normal_sf(30.0) == pytest.approx(float(1 - oracle_cdf(30.0)), rel=1e-12)
+        # deep upper tail keeps relative accuracy instead of rounding to 0;
+        # 1 - oracle_cdf(30) cannot hold 1 - Phi(30) ~ 5e-198 at 40 digits
+        with mpmath.workdps(ORACLE_DPS):
+            expected = float(mpmath.ncdf(-30))
+        assert std_normal_sf(30.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestStdNormalQuantile:
@@ -248,14 +255,16 @@ class TestLogCdfPower:
 
     def test_deep_tail_against_extended_precision(self):
         # 100 * ln Phi(-8), where Phi(-8)^100 is far below the float range
-        expected = float(100 * mpmath.log(mpmath.ncdf(-8)))
+        with mpmath.workdps(ORACLE_DPS):
+            expected = float(100 * mpmath.log(mpmath.ncdf(-8)))
         got = log_cdf_power(-8.0, 100)
         assert math.isfinite(got)
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_asymptotic_branch_against_extended_precision(self):
         for x in [-20.5, -25.0, -40.0, -100.0]:
-            expected = float(mpmath.log(mpmath.ncdf(x)))
+            with mpmath.workdps(ORACLE_DPS):
+                expected = float(mpmath.log(mpmath.ncdf(x)))
             assert log_std_normal_cdf(x) == pytest.approx(expected, rel=1e-13)
 
     def test_exp_identity_where_representable(self):
@@ -267,7 +276,8 @@ class TestLogCdfPower:
 
     def test_large_n_positive_x(self):
         # Phi(5)**1e6 is representable; the log route must match it closely
-        expected = float(mpmath.ncdf(5) ** 1_000_000)
+        with mpmath.workdps(ORACLE_DPS):
+            expected = float(mpmath.ncdf(5) ** 1_000_000)
         assert math.exp(log_cdf_power(5.0, 1_000_000)) == pytest.approx(expected, rel=1e-9)
 
     def test_rejects_bad_n(self):

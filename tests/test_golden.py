@@ -14,13 +14,16 @@ keep the run short.  `calibrate` also runs at n = 20480, where the capped
 job is capped at every p0, so its uncapped diagnostic columns come from
 the second, uncapped calibration.
 
-Three more cases run the commands whose trials go through the threaded
-block driver, with trial counts that span several _BLOCK_TRIALS blocks:
-`verify` of the default job's schedule at 2 * 10**7 trials, whose
-undecided runs fill more than one block per row, and `simulate
-minimal_effort` and `expected-max --n 40` at 3 * 2**16 + 777 trials.  They
-were recorded at commit 809c8fc, before the block drivers were merged into
-one, so they pin that the merge moves no byte.
+Three more cases run Monte Carlo commands at trial counts of several
+_BLOCK_TRIALS blocks: `verify` of the default job's schedule at 2 * 10**7
+trials, whose undecided runs fill more than one block per row, and
+`simulate minimal_effort` and `expected-max --n 40` at 3 * 2**16 + 777
+trials.  They were recorded at commit 809c8fc, before the block drivers
+were merged into one, so they pin that the merge moves no byte, nor the
+later change of that driver from threads to a plain loop.  The
+`simulate minimal_effort` case was re-recorded once, when its count of
+exceedances became one Binomial(trials, 1/(n+1)) draw that runs no
+blocks (a new stream format for that command only).
 
 Seven input-error cases pin exit 1 and the exact stderr of a bad job, a
 bad flag, a bad schedule, an unknown subcommand and a missing job file.
@@ -30,7 +33,7 @@ one input-error type moves no byte.  The unknown-subcommand message is
 argparse's own wording, recorded under Python 3.11.  They run in a temporary working directory with
 relative paths, so no message names a machine-specific path.
 
-Every Monte Carlo case (paradox, and the three block-driver cases) holds
+Every Monte Carlo case (paradox, and the three block-plan cases) holds
 the bytes of one numpy version's generators: a numpy release that changes
 a sampling routine changes them, and they are then recorded again.
 """

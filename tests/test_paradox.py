@@ -8,9 +8,6 @@ quadrature through an independent sampling route.
 
 import itertools
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import bruteforce
@@ -87,20 +84,15 @@ class TestSimulateMinimalEffort:
         band = 4.0 * report.standard_error * (n + 1)
         assert abs(report.estimate * (n + 1) - 1.0) <= band
 
-    def test_deterministic_and_follows_block_plan(self):
+    def test_deterministic_and_one_binomial_draw(self):
         stream = SeededStream(seed=99, stream_index=2)
         trials = _BLOCK_TRIALS + 1_234
         a = simulate_minimal_effort(40, trials, stream)
         b = simulate_minimal_effort(40, trials, stream)
         assert a == b
-        # block b draws ln U (the maximum) then ln V (the extra draw) from
-        # stream.generator(b); the last block holds the remainder
-        exceed = 0
-        for block, size in enumerate([_BLOCK_TRIALS, 1_234]):
-            gen = stream.generator(block)
-            log_u = -gen.standard_exponential(size)
-            log_v = -gen.standard_exponential(size)
-            exceed += int(np.count_nonzero(40 * log_v > log_u))
+        # one Binomial(trials, 1/41) draw from stream.generator(), whatever
+        # the block plan
+        exceed = stream.generator().binomial(trials, -math.expm1(-math.log1p(1 / 40)))
         assert a.estimate == exceed / trials
 
 
@@ -488,14 +480,14 @@ class TestAcceptanceScreen:
             assert sum(evaluated) <= 0.01 * SCREEN_TRIALS
 
 
-# tracemalloc peak of one _BLOCK_TRIALS block on one thread, in MiB: the
-# value measured with numpy 2.4 (in parentheses) plus about 10%.  The
+# tracemalloc peak of one _BLOCK_TRIALS block, in MiB: the value measured
+# with numpy 2.4 (in parentheses) plus about 10%.  Minimal effort and the
 # fixed-scale counts draw no trials, so their bound is a small constant,
 # far below one block's arrays (0.5 MiB per float array).
 BLOCK_PEAK_MIB = {
     "estimate_conditional_exceedance": 1.45,   # (1.32)
     "estimate_conditional_exceedance-point": 1.45,   # (1.32)
-    "simulate_minimal_effort": 1.17,   # (1.07)
+    "simulate_minimal_effort": 0.05,   # (0.002)
     "simulate_compliance-fixed_sigma": 0.05,   # (0.002)
     "paradox_curve": 0.05,   # (0.002)
     "expected_max_monte_carlo": 1.39,   # (1.26)
@@ -526,10 +518,9 @@ def one_block_calls(rule):
 
 
 class TestBlockMemory:
-    def test_verify_row_memory_does_not_grow_with_trials(self, monkeypatch):
+    def test_verify_row_memory_does_not_grow_with_trials(self):
         # 2**30 trials: about 4.2e6 undecided runs in 65 blocks and 1e5 that
         # may exceed in 2, one block at a time
-        monkeypatch.setattr(paradox, "_WORKERS", 1)
         stream = SeededStream(seed=55, stream_index=1)
         estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR, _BLOCK_TRIALS, stream)
         tracemalloc.start()
@@ -542,8 +533,7 @@ class TestBlockMemory:
         assert peak <= 2 * 2**20
 
     @pytest.mark.parametrize("name", BLOCK_PEAK_MIB)
-    def test_block_peak_stays_bounded(self, name, wide_rule, monkeypatch):
-        monkeypatch.setattr(paradox, "_WORKERS", 1)
+    def test_block_peak_stays_bounded(self, name, wide_rule):
         run = one_block_calls(wide_rule)[name]
         run()   # numpy's first-call allocations are not the block's
         tracemalloc.start()
@@ -563,10 +553,10 @@ class TestExpectedMax:
         assert expected_max_exact(2) == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-9)
 
     def test_exact_hundred_against_mpmath(self):
-        mpmath.mp.dps = 25
         n = 100
         integrand = lambda x: (n * x * mpmath.npdf(x) * mpmath.ncdf(x) ** (n - 1))
-        expected = float(mpmath.quad(integrand, mpmath.linspace(-10, 10, 9)))
+        with mpmath.workdps(25):
+            expected = float(mpmath.quad(integrand, mpmath.linspace(-10, 10, 9)))
         assert expected == pytest.approx(2.5075936364, abs=1e-9)
         assert expected_max_exact(100) == pytest.approx(expected, rel=1e-9)
 
@@ -732,26 +722,22 @@ class TestBruteForceEquivalence:
         assert agree(mean, se, oracle)
 
 
-# Four blocks, the last one partial: with 2 or 3 threads some thread runs
-# more than one block.
-INVARIANCE_TRIALS = 3 * _BLOCK_TRIALS + 777
-INVARIANCE_BLOCKS = 4
+# Four blocks, the last one partial.
+PLAN_TRIALS = 3 * _BLOCK_TRIALS + 777
+PLAN_BLOCKS = 4
 
 
 def every_entry_point(rule):
-    """The result of every Monte Carlo entry point at INVARIANCE_TRIALS."""
+    """Call every Monte Carlo entry point at PLAN_TRIALS."""
     stream = SeededStream(seed=41, stream_index=1)
-    results = [simulate_minimal_effort(40, INVARIANCE_TRIALS, stream)]
+    simulate_minimal_effort(40, PLAN_TRIALS, stream)
     for kind in ("fixed_threshold", "schedule"):
         scenario = DesignScenario(sigma_true=1.0, rule=rule, n_performed=40,
-                                  trials=INVARIANCE_TRIALS, stream=stream)
-        results.append(simulate_compliance(scenario, kind))
-    results.append(paradox_curve(1.0, rule, [2, 40, 640],
-                                 INVARIANCE_TRIALS, stream))
-    results.append(estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR,
-                                                   INVARIANCE_TRIALS, stream))
-    results.append(expected_max_monte_carlo(40, 1.5, INVARIANCE_TRIALS, stream))
-    return results
+                                  trials=PLAN_TRIALS, stream=stream)
+        simulate_compliance(scenario, kind)
+    paradox_curve(1.0, rule, [2, 40, 640], PLAN_TRIALS, stream)
+    estimate_conditional_exceedance(DEMO, 1.0, 40, DEMO_PRIOR, PLAN_TRIALS, stream)
+    expected_max_monte_carlo(40, 1.5, PLAN_TRIALS, stream)
 
 
 @st.composite
@@ -769,74 +755,33 @@ class _BlockFailure(Exception):
     pass
 
 
-def block_index(stream):
+def block_index(stream, blocks=PLAN_BLOCKS):
     """Block index by the first draw of the block's generator."""
-    return {stream.generator(b).random(): b for b in range(INVARIANCE_BLOCKS)}
-
-
-def call_with_deadline(fn, seconds=60.0):
-    """fn() on a daemon thread; its exception or result, or a failure after seconds."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["result"] = fn()
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), f"no result within {seconds} s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["result"]
+    return {stream.generator(b).random(): b for b in range(blocks)}
 
 
 class TestWorkerCountInvariance:
-    """The thread count changes neither a result nor an exception."""
+    """_map_blocks runs the block plan on one worker, the calling thread: its
+    results and the first failing block's exception are those of a plain
+    loop over the blocks, in block order."""
 
-    def test_every_entry_point_is_identical(self, wide_rule, monkeypatch):
-        results = []
-        for workers, wave in ((1, 256), (2, 256), (3, 256), (2, 3)):
-            monkeypatch.setattr(paradox, "_WORKERS", workers)
-            monkeypatch.setattr(paradox, "_WAVE_BLOCKS", wave)
-            results.append(every_entry_point(wide_rule))
-        assert results[0] == results[1] == results[2] == results[3]
-
-    def test_verify_row_is_identical_over_many_blocks(self, monkeypatch):
-        # blocks of 64 trials, in waves of 5: the undecided runs and those
-        # that may exceed fill a few dozen blocks
-        monkeypatch.setattr(paradox, "_BLOCK_TRIALS", 64)
-        monkeypatch.setattr(paradox, "_WAVE_BLOCKS", 5)
-        results = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(paradox, "_WORKERS", workers)
-            results.append([estimate_conditional_exceedance(
-                DEMO, 1.0, 40, prior, trials, SeededStream(seed=44, stream_index=1))
-                for prior, trials in ((DEMO_PRIOR, 400_000),
-                                      (UNSCREENED_PRIORS["wide-subnormal"], 2_000))])
-        assert results[0] == results[1] == results[2]
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_results_come_back_in_block_order(self, monkeypatch, workers):
-        monkeypatch.setattr(paradox, "_WORKERS", workers)
+    @pytest.mark.parametrize("full_blocks", [1, 2, 3])
+    def test_results_come_back_in_block_order(self, full_blocks):
         stream = SeededStream(seed=42)
-        index = block_index(stream)
-        assert _map_blocks(stream, [INVARIANCE_TRIALS],
+        index = block_index(stream, full_blocks + 1)
+        trials = full_blocks * _BLOCK_TRIALS + 777
+        assert _map_blocks(stream, [trials],
                            lambda gen, _, size: (index[gen.random()], size)) == [
-            (0, _BLOCK_TRIALS), (1, _BLOCK_TRIALS), (2, _BLOCK_TRIALS), (3, 777)]
+            *((b, _BLOCK_TRIALS) for b in range(full_blocks)), (full_blocks, 777)]
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("stream_index", [1, 2, 3])
     @settings(max_examples=150, deadline=None)
     @given(cells=cells_near_block_edges())
-    def test_block_counts_split_the_cells(self, workers, cells):
+    def test_block_counts_split_the_cells(self, stream_index, cells):
         block, counts = cells
-        stream = SeededStream(seed=45)
+        stream = SeededStream(seed=45, stream_index=stream_index)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(paradox, "_BLOCK_TRIALS", block)
-            patch.setattr(paradox, "_WAVE_BLOCKS", 3)
-            patch.setattr(paradox, "_WORKERS", workers)
             parts = _map_blocks(stream, counts, lambda gen, block_counts, size: (
                 gen.random(), block_counts.tolist(), size))
         total = sum(counts)
@@ -851,104 +796,51 @@ class TestWorkerCountInvariance:
         assert [draw for draw, _, _ in parts] == [
             stream.generator(b).random() for b in range(len(parts))]
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("full_blocks", [1, 2, 3])
     @pytest.mark.parametrize("failing", [(1,), (1, 2), (1, 3)])
-    def test_failing_block_raises_its_own_exception(self, monkeypatch, workers, failing):
-        # the lowest failing block's exception, as a plain loop would raise
-        monkeypatch.setattr(paradox, "_WORKERS", workers)
+    def test_failing_block_raises_its_own_exception(self, failing, full_blocks):
+        # the first failing block's exception; no later block runs
         stream = SeededStream(seed=42)
-        index = block_index(stream)
+        index = block_index(stream, full_blocks + 1)
+        ran = []
 
         def block(gen, _, size):
             b = index[gen.random()]
             if b in failing:
                 raise _BlockFailure(b)
+            ran.append(b)
             return (b,)
 
-        threads_before = threading.active_count()
         with pytest.raises(_BlockFailure) as exc:
-            call_with_deadline(lambda: _map_blocks(stream, [INVARIANCE_TRIALS], block))
+            _map_blocks(stream, [full_blocks * _BLOCK_TRIALS + 777], block)
         assert exc.value.args == (1,)
-        assert threading.active_count() == threads_before
+        assert ran == [0]
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_exception_waits_for_every_thread(self, monkeypatch, workers):
-        # block 0 fails at once; the other threads' blocks are slow
-        monkeypatch.setattr(paradox, "_WORKERS", workers)
-        stream = SeededStream(seed=42)
-        index = block_index(stream)
-        finished = []
 
-        def block(gen, _, size):
-            b = index[gen.random()]
-            if b == 0:
-                raise _BlockFailure(b)
-            time.sleep(0.05)
-            finished.append(b)
-            return (b,)
+class TestBlockPlan:
+    """Every Monte Carlo entry point makes its generators in block order."""
 
-        with pytest.raises(_BlockFailure):
-            call_with_deadline(lambda: _map_blocks(stream, [INVARIANCE_TRIALS], block))
-        assert sorted(finished) == [b for b in range(INVARIANCE_BLOCKS) if b % workers]
-
-    def test_stress_more_threads_than_cores(self, monkeypatch):
-        # 201 tiny blocks in four waves on 8 threads, with thread switches
-        # forced as often as the interpreter allows
-        monkeypatch.setattr(paradox, "_BLOCK_TRIALS", 16)
-        monkeypatch.setattr(paradox, "_WAVE_BLOCKS", 64)
-        stream = SeededStream(seed=43)
-        trials = 16 * 200 + 5
-
-        def block(gen, _, size):
-            draw = gen.random()
-            if draw in failing:
-                raise _BlockFailure(failing[draw])
-            return (draw, size)
-
-        failing = {}
-        monkeypatch.setattr(paradox, "_WORKERS", 1)
-        expected = _map_blocks(stream, [trials], block)
-        failing = {expected[b][0]: b for b in (150, 38, 37)}
-        monkeypatch.setattr(paradox, "_WORKERS", 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with pytest.raises(_BlockFailure) as exc:
-                call_with_deadline(lambda: _map_blocks(stream, [trials], block))
-            failing = {}
-            results = call_with_deadline(lambda: _map_blocks(stream, [trials], block))
-        finally:
-            sys.setswitchinterval(interval)
-        assert exc.value.args == (37,)
-        assert len(expected) == 201 and expected[-1][1] == 5
-        assert results == expected
-
-    def test_generators_are_made_on_the_calling_thread_in_block_order(
-            self, wide_rule, monkeypatch):
+    def test_generators_are_made_in_block_order(self, wide_rule, monkeypatch):
         calls = []
         make_generator = SeededStream.generator
 
         def generator(stream, *path):
-            calls.append((threading.get_ident(), stream.path, path))
+            calls.append((stream.path, path))
             return make_generator(stream, *path)
 
         monkeypatch.setattr(SeededStream, "generator", generator)
-        monkeypatch.setattr(paradox, "_WORKERS", 3)
-        monkeypatch.setattr(paradox, "_WAVE_BLOCKS", 3)
         every_entry_point(wide_rule)
-        assert {ident for ident, _, _ in calls} == {threading.get_ident()}
-        # two runs of the block plan; the two compliance simulations and
-        # the three curve rows make one generator each, row r on
-        # stream.child(r); the verify row makes one for its counts, then
-        # its undecided blocks on stream.child(0) and the blocks of runs
-        # that may exceed on stream.child(1)
-        plan = [(b,) for b in range(INVARIANCE_BLOCKS)]
-        paths = [(row, path) for _, row, path in calls]
-        verify = paths[len(plan) + 5:-len(plan)]
+        # minimal effort, the two compliance simulations and the three
+        # curve rows make one generator each, row r on stream.child(r); the
+        # verify row makes one for its counts, then its undecided blocks on
+        # stream.child(0) and the blocks of runs that may exceed on
+        # stream.child(1); expected-max runs the block plan
+        plan = [(b,) for b in range(PLAN_BLOCKS)]
+        verify = calls[6:-len(plan)]
         undecided = sum(row == (0,) for row, _ in verify)
         maybe = len(verify) - 1 - undecided
         assert undecided >= 1
-        assert paths == (
-            [((), b) for b in plan] + [((), ())] * 2 + [((r,), ()) for r in range(3)]
+        assert calls == (
+            [((), ())] * 3 + [((r,), ()) for r in range(3)]
             + [((), ())] + [((0,), (b,)) for b in range(undecided)]
             + [((1,), (b,)) for b in range(maybe)] + [((), b) for b in plan])
