@@ -51,6 +51,7 @@ from .gaussian import (
     _INV_SQRT2,
     SeededStream,
     _log_std_normal_cdf,
+    _quantile_log_in_place,
     _require_count,
     _require_counts,
     _require_finite,
@@ -59,7 +60,6 @@ from .gaussian import (
     log_cdf_power,
     log_std_normal_cdf,
     std_normal_pdf,
-    std_normal_quantile_log,
 )
 
 # Euler-Mascheroni constant, the limit of euler_gamma_partial.
@@ -406,12 +406,11 @@ def estimate_conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
         np.log1p(log_u, out=log_u)
         log_u += np.repeat(top, counts)
         log_u /= n
-        peak = std_normal_quantile_log(log_u)
-        del log_u   # freed before the scales are drawn, to keep the block's peak low
+        peak = _quantile_log_in_place(log_u)
         sigma = scales(gen, counts, size)
         peak *= sigma
         kept = peak <= threshold
-        del peak
+        del log_u, peak   # one array, freed before the next draw
         extra = gen.standard_normal(size)
         extra *= sigma
         return int(np.count_nonzero(kept)), int(np.count_nonzero((extra > spec.q0) & kept))
@@ -482,7 +481,7 @@ def expected_max_monte_carlo(n: int, sigma: float, trials: int,
     def block(gen, _, size):
         log_u = _log_uniform(gen, size)
         log_u /= n
-        m = std_normal_quantile_log(log_u)
+        m = _quantile_log_in_place(log_u)
         total = float(m.sum())
         m *= m
         return total, float(m.sum())

@@ -22,6 +22,7 @@ from threshcal.gaussian import (
     _MAX_COUNT,
     _ARRAY_SLICE,
     SeededStream,
+    _quantile_log_in_place,
     _quantile_log_slice,
     _require_count,
     _require_counts,
@@ -183,8 +184,8 @@ class TestStdNormalQuantileLog:
         log_p = -rng.standard_exponential(size) * 10.0 ** rng.uniform(-12, 2, size)
         log_p[[0, 5, size - 1]] = [-np.inf, 0.0, -1e-300]
         x = std_normal_quantile_log(log_p)
-        whole = np.empty(size)
-        _quantile_log_slice(log_p, whole)   # one pass over the whole array
+        whole = log_p.copy()
+        _quantile_log_slice(whole, *np.empty((2, size)))   # one pass over the whole array
         assert x.tobytes() == whole.tobytes()
         # slices that straddle the evaluation's own slice boundaries
         for start in range(0, size, 5_000):
@@ -192,6 +193,25 @@ class TestStdNormalQuantileLog:
             assert part.tobytes() == x[start:start + 5_000].tobytes()
         assert std_normal_quantile_log(log_p.reshape(2, -1)).tobytes() == x.tobytes()
         assert std_normal_quantile_log(-1.0).shape == ()
+
+    @pytest.mark.parametrize("background", [math.log(0.5), -1e-3])
+    def test_in_place_kernel_overwrites_its_argument(self, background):
+        # all three branches and both ends, in slices whose majority is the
+        # central branch or the upper tail
+        rng = np.random.default_rng(9)
+        size = 3 * _ARRAY_SLICE + 1_234
+        log_p = np.full(size, background)
+        spread = rng.choice(size, size // 3, replace=False)
+        scale = 10.0 ** rng.uniform(-12, 2, spread.size)
+        log_p[spread] = -rng.standard_exponential(spread.size) * scale
+        log_p[[0, 5, 6, 7, size - 1]] = [-np.inf, 0.0, -0.0, -1e-300, -1e-300]
+        expected = std_normal_quantile_log(log_p)
+        x = log_p.copy()
+        assert _quantile_log_in_place(x) is x
+        assert x.tobytes() == expected.tobytes()
+        # a Fortran-ordered argument is copied into C order, then overwritten
+        grid = log_p.reshape(2, -1).T
+        assert np.array_equal(std_normal_quantile_log(grid), expected.reshape(2, -1).T)
 
 
 class TestQuantileLogMatchesMaskedOracle:
@@ -208,8 +228,8 @@ class TestQuantileLogMatchesMaskedOracle:
         log_p = np.asarray(log_p, dtype=float)
         expected = bruteforce.masked_quantile_log(log_p)
         assert std_normal_quantile_log(log_p).tobytes() == expected.tobytes()
-        whole = np.empty_like(log_p)
-        _quantile_log_slice(log_p, whole)
+        whole = log_p.copy()
+        _quantile_log_slice(whole, *np.empty((2, log_p.size)))
         assert whole.tobytes() == expected.tobytes()
 
     def assert_same_bits_in_both_majorities(self, points):

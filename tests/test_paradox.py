@@ -466,13 +466,13 @@ class TestAcceptanceScreen:
     def test_quantile_runs_on_under_one_percent(self, prior_name, monkeypatch):
         prior = SCREEN_PRIORS[prior_name]
         evaluated = []
-        quantile = paradox.std_normal_quantile_log
+        quantile = paradox._quantile_log_in_place
 
         def counting_quantile(log_p):
             evaluated.append(log_p.size)
             return quantile(log_p)
 
-        monkeypatch.setattr(paradox, "std_normal_quantile_log", counting_quantile)
+        monkeypatch.setattr(paradox, "_quantile_log_in_place", counting_quantile)
         for t in (-0.05, 0.3, 1.0):
             evaluated.clear()
             estimate_conditional_exceedance(DEMO, t, 1, prior, SCREEN_TRIALS,
@@ -481,16 +481,17 @@ class TestAcceptanceScreen:
 
 
 # tracemalloc peak of one _BLOCK_TRIALS block, in MiB: the value measured
-# with numpy 2.4 (in parentheses) plus about 10%.  Minimal effort and the
-# fixed-scale counts draw no trials, so their bound is a small constant,
-# far below one block's arrays (0.5 MiB per float array).
+# with numpy 2.4 (in parentheses) plus about 10%.  A verify row of that
+# many trials simulates only its undecided runs, a few hundred.  Minimal
+# effort and the fixed-scale counts draw no trials, so their bound is a
+# small constant, far below one block's arrays (0.5 MiB per float array).
 BLOCK_PEAK_MIB = {
-    "estimate_conditional_exceedance": 1.45,   # (1.32)
-    "estimate_conditional_exceedance-point": 1.45,   # (1.32)
+    "estimate_conditional_exceedance": 0.055,   # (0.050)
+    "estimate_conditional_exceedance-point": 0.019,   # (0.017)
     "simulate_minimal_effort": 0.05,   # (0.002)
     "simulate_compliance-fixed_sigma": 0.05,   # (0.002)
     "paradox_curve": 0.05,   # (0.002)
-    "expected_max_monte_carlo": 1.39,   # (1.26)
+    "expected_max_monte_carlo": 0.95,   # (0.86)
 }
 
 
