@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect as _bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,6 +56,10 @@ from .gaussian import (
 # treated as impossible rather than conditioned on.
 _LOG_UNDERFLOW_FLOOR = math.log(1e-300)
 _LOG_FLOAT_MAX = math.log(math.nextafter(math.inf, 0.0))   # math.exp overflows above it
+
+# A probe compared only with p0 stops its quadrature once p0 lies this many
+# error bounds below the value (conditional_exceedance's `above`).
+_SETTLE_MARGIN = 1000.0
 
 _MAX_EXPANSIONS = 64
 _MAX_CONTRACTIONS = 200
@@ -216,19 +221,28 @@ def _require_invertible_sigma_lo(prior: SigmaPrior) -> None:
 
 
 def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
-                           prior: SigmaPrior) -> float:
+                           prior: SigmaPrior, *, above: float | None = None) -> float:
     """P(next draw > q0 | max of n draws <= threshold), prior-averaged.
 
     Under a point prior the conditioning event is independent of the next
     draw and the value collapses to marginal_exceedance.  Otherwise the
-    denominator (the acceptance weight Phi(threshold/sigma)**n) and the
-    numerator (the weight times 1 - Phi(q0/sigma)) are integrated over
-    ln(sigma) in one pass, each to relative tolerance 1e-10: one partition,
-    each node's weight computed once and shared by both.  The weight is
-    evaluated in log space and shifted by its maximum so the ratio survives
-    draw counts up to 1e6; where it underflows to 0 the numerator's tail
-    probability is not computed.  A log-uniform sigma_lo whose 1/sigma_lo
-    overflows raises DomainError.
+    denominator D (the acceptance weight Phi(threshold/sigma)**n) and the
+    numerator N (the weight times 1 - Phi(q0/sigma)) are integrated over
+    ln(sigma) in one pass: one partition, each node's weight computed once
+    and shared by both.  The weight is evaluated in log space and shifted
+    by its maximum so the ratio survives draw counts up to 1e6; where it
+    underflows to 0 the numerator's tail probability is not computed.  A
+    log-uniform sigma_lo whose 1/sigma_lo overflows raises DomainError.
+
+    Both integrals run to relative tolerance 1e-10, unless above is given:
+    a caller that only compares the value with above lets the quadrature
+    stop as soon as its error bounds eD and eN, widened K = _SETTLE_MARGIN
+    times, certify that the value exceeds above.  That takes D - K eD > 0
+    passing the conditioning check, so a probe that stops early could
+    never have raised InfeasibleConditioningError, and N - K eN >
+    above (D + K eD).  The value returned then is the coarser estimate,
+    still above `above`.  A value at or below above, and every value when
+    above is not a normal float, runs to the full 1e-10.
     """
     threshold = _require_finite("threshold", threshold)
     n = _require_count("n", n)
@@ -264,15 +278,26 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
                 return 0.0, 0.0
             return w, 0.5 * erfc(b * e) * w
 
+    def conditionable(denom: float) -> bool:
+        """Whether the acceptance probability exp(shift) * denom / width clears the floor."""
+        mean = denom / (t_hi - t_lo) if denom > 0.0 else 0.0
+        return mean > 0.0 and shift + math.log(mean) >= _LOG_UNDERFLOW_FLOOR
+
+    stop = None
+    if above is not None and above >= sys.float_info.min:   # below it, above * D underflows
+        def stop(denom: float, numer: float, err_d: float, err_n: float) -> bool:
+            return (conditionable(denom - _SETTLE_MARGIN * err_d)
+                    and numer - _SETTLE_MARGIN * err_n > above * (denom + _SETTLE_MARGIN * err_d))
+
     failure = None
     try:
-        denom, numer = integrate(weights, t_lo, t_hi, rel_tol=1e-10)
+        denom, numer = integrate(weights, t_lo, t_hi, rel_tol=1e-10, stop=stop)
     except IntegrationError as exc:
         # an event too rare to condition on is reported as such even where
         # the integrals do not converge
         failure = exc
         denom, numer = exc.estimate
-    if denom <= 0.0 or shift + math.log(denom / (t_hi - t_lo)) < _LOG_UNDERFLOW_FLOOR:
+    if not conditionable(denom):
         raise InfeasibleConditioningError(
             f"the event max <= {threshold} with n = {n} has negligible "
             f"probability under the prior [{prior.sigma_lo}, {prior.sigma_hi}]")
@@ -311,6 +336,13 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     first; stop_reason names which.  The result is always the feasible end of
     the bracket, so achieved <= p0.
 
+    A doubling, halving or bisection probe (and the uncapped probe at q0)
+    is only compared with p0, so it asks conditional_exceedance for no more
+    than that: its quadrature stops once the exceedance is certainly above
+    p0.  A value kept as achieved is at most p0, so it always ran to full
+    tolerance; _SETTLE_MARGIN keeps every comparison the one a full-tolerance
+    probe would make.
+
     warm_start saves doubling calls: its doubling points q0 * 2^j are taken
     as feasible at n unevaluated, so it is q0 just shown feasible at n or
     the uncapped threshold at a smaller count (for t > 0 the exceedance
@@ -347,7 +379,8 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     lo, ce_lo, doublings = spec.q0, None, 0
     if cap_at_q0 or warm_start is None or not warm_start >= spec.q0:
         try:
-            ce_lo = conditional_exceedance(spec, spec.q0, n, prior)
+            ce_lo = conditional_exceedance(spec, spec.q0, n, prior,
+                                           above=None if cap_at_q0 else spec.p0)
         except InfeasibleConditioningError:
             if cap_at_q0:
                 raise
@@ -363,7 +396,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
         for _ in range(_MAX_EXPANSIONS - doublings):
             if trial == math.inf:   # the doubling overflowed: no larger threshold
                 break
-            ce_trial = conditional_exceedance(spec, trial, n, prior)
+            ce_trial = conditional_exceedance(spec, trial, n, prior, above=spec.p0)
             if ce_trial > spec.p0:
                 hi = trial
                 break
@@ -379,7 +412,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
         trial = 0.5 * spec.q0
         for _ in range(_MAX_CONTRACTIONS):
             try:
-                ce_trial = conditional_exceedance(spec, trial, n, prior)
+                ce_trial = conditional_exceedance(spec, trial, n, prior, above=spec.p0)
             except InfeasibleConditioningError:
                 break
             if ce_trial <= spec.p0:
@@ -402,7 +435,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
         mid = 0.5 * (lo + hi)
         if mid == math.inf:   # lo + hi overflowed; halving each first is exact up here
             mid = 0.5 * lo + 0.5 * hi
-        ce_mid = conditional_exceedance(spec, mid, n, prior)
+        ce_mid = conditional_exceedance(spec, mid, n, prior, above=spec.p0)
         iterations += 1
         if ce_mid > spec.p0:
             hi = mid

@@ -344,7 +344,7 @@ def _is_pair(value) -> bool:
 
 def integrate(f: Callable, lo: float, hi: float,
               rel_tol: float = 1e-10, abs_tol: float = 0.0,
-              max_evals: int = 1_000_000):
+              max_evals: int = 1_000_000, *, stop: Callable | None = None):
     """Globally adaptive Gauss-Kronrod quadrature with interval bisection.
 
     The range starts as a fixed grid of 8 equal panels (so features
@@ -365,6 +365,15 @@ def integrate(f: Callable, lo: float, hi: float,
     the pair (value, 0.0), whose second component has zero error and so
     never sets the refinement order or the stop: scalar results keep the
     refinement order and the value they always had.
+
+    stop, when given, is called as stop(total_w, total_u, err_w, err_u) on
+    the running totals of both components and their error bounds (a scalar
+    f's second component is 0.0 with error 0.0) before each split: after
+    the initial grid, and after each split that leaves the tolerance unmet.
+    Once it returns true, refinement ends and the estimate so far is
+    returned, so a caller that needs only a bound on the integrals stops
+    as soon as the error bounds settle it.  It is asked before the budget
+    is.  Without stop, refinement runs to the tolerance.
 
     Raises IntegrationError, carrying the best estimate and its error
     bound (pairs for a pair-valued f), if the evaluation budget runs out
@@ -451,6 +460,8 @@ def integrate(f: Callable, lo: float, hi: float,
 
     while err_w > max(rel_tol * abs(total_w), abs_tol) or \
             err_u > max(rel_tol * abs(total_u), abs_tol):
+        if stop is not None and stop(total_w, total_u, err_w, err_u):
+            break
         if evals + 30 > max_evals:
             raise fail(f"quadrature budget of {max_evals} evaluations exhausted")
         _, _, a, b, wi, ui, we, ue = heapq.heappop(heap)

@@ -12,6 +12,7 @@ Oracles used here are independent of the implementation path:
 
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -378,11 +379,13 @@ class TestCappedShortcut:
 
     @staticmethod
     def _count_calls(monkeypatch):
+        """Each conditional_exceedance call's positional arguments, then its
+        `above` (None for a probe run to full tolerance)."""
         calls = []
         real = calibration.conditional_exceedance
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            calls.append((*args, kwargs.get("above")))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(calibration, "conditional_exceedance", counting)
@@ -392,7 +395,7 @@ class TestCappedShortcut:
         calls = self._count_calls(monkeypatch)
         result = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=True)
         assert result.capped is True
-        assert calls == [(DEMO, DEMO.q0, 40, DEMO_PRIOR)]
+        assert calls == [(DEMO, DEMO.q0, 40, DEMO_PRIOR, None)]
 
     def test_capped_schedule_makes_one_call_per_row(self, monkeypatch):
         calls = self._count_calls(monkeypatch)
@@ -466,7 +469,9 @@ class TestWarmStart:
         counts = [40, 80, 160, 320, 640]
         calibrate_schedule(DEMO, DEMO_PRIOR, counts, cap_at_q0=False)
         assert len(calls) == 42        # 49 when every row starts at q0
-        assert [n for _, t, n, _ in calls if t == DEMO.q0] == [40]
+        assert [n for _, t, n, _, _ in calls if t == DEMO.q0] == [40]
+        # uncapped, q0's probe too is only compared with p0
+        assert {above for *_, above in calls} == {DEMO.p0}
 
     @pytest.mark.parametrize("warm_start", [1.0, 2.0**10, 2.0**64, 2.0**70, math.inf])
     def test_expansion_limit_counts_from_q0(self, monkeypatch, warm_start):
@@ -494,6 +499,108 @@ class TestWarmStart:
         result = calibrate_threshold(DEMO, 40, DEMO_PRIOR, warm_start=4.0)
         assert result == calibrate_threshold(DEMO, 40, DEMO_PRIOR)
         assert len(calls) == 2
+
+
+class TestSettledProbes:
+    """A probe compared only with p0 stops its quadrature once the exceedance
+    is certainly above p0; no published value or diagnostic moves."""
+
+    @staticmethod
+    def _schedule(spec, prior, counts, cap):
+        """calibrate_schedule's rule and rows, or its error's type and message."""
+        try:
+            return calibrate_schedule(spec, prior, counts, cap_at_q0=cap)
+        except (DomainError, InfeasibilityError, InfeasibleConditioningError,
+                IntegrationError, SolverError) as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(q0=st.floats(1e-3, 1e3),
+           p0=st.one_of(st.floats(1e-6, 0.2), st.just(5e-324)),
+           lo=st.floats(-4.0, 1.0), decades=st.floats(0.01, 4.0),
+           counts=st.sets(st.integers(1, 2**20), min_size=1, max_size=5).map(sorted),
+           cap=st.booleans())
+    # with p0 subnormal, p0 * D underflows and would let a probe settle
+    # where the full quadrature runs out of budget: this schedule exits 2
+    @example(q0=1.7e308, p0=5e-324, lo=math.log10(3.5e10 / 1.7e308),
+             decades=math.log10(1e308 / 3.5e10), counts=[1820], cap=False)
+    def test_schedule_equals_full_tolerance_probes(self, q0, p0, lo, decades, counts, cap):
+        spec = SafetySpec(q0=q0, p0=p0)
+        sigma_lo = q0 * 10.0 ** lo
+        prior = SigmaPrior.log_uniform(sigma_lo, sigma_lo * 10.0 ** decades)
+        settled = self._schedule(spec, prior, counts, cap)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calibration, "_SETTLE_MARGIN", math.inf)   # never settles
+            full = self._schedule(spec, prior, counts, cap)
+        assert settled == full
+
+    @settings(max_examples=100, deadline=None)
+    @given(threshold=st.floats(-1.0, 8.0), n=st.integers(1, 2**20),
+           above=st.one_of(st.floats(1e-6, 0.2), st.just(5e-324)),
+           near=st.sampled_from([None, -1e-6, -1e-9, 1e-9, 1e-6]))
+    def test_settled_value_sits_on_the_same_side(self, threshold, n, above, near):
+        # above is drawn, or sits a relative distance `near` from the value
+        try:
+            full = conditional_exceedance(DEMO, threshold, n, DEMO_PRIOR)
+        except InfeasibleConditioningError:
+            with pytest.raises(InfeasibleConditioningError):
+                conditional_exceedance(DEMO, threshold, n, DEMO_PRIOR, above=above)
+            return
+        if near is not None:
+            above = full * (1.0 + near)
+        settled = conditional_exceedance(DEMO, threshold, n, DEMO_PRIOR, above=above)
+        assert (settled > above) == (full > above)
+        if full <= above or above < sys.float_info.min:
+            assert settled == full
+
+    @pytest.mark.parametrize("n", [2000, 20000])
+    @pytest.mark.parametrize("sigma_lo, sigma_hi", [(0.5, 5.0), (0.4, 1.0)])
+    def test_settling_keeps_the_conditioning_verdict(self, sigma_lo, sigma_hi, n):
+        # at the thresholds where the conditioning event's probability
+        # crosses the floor, a settled probe refuses exactly where the full
+        # one does
+        prior = SigmaPrior.log_uniform(sigma_lo, sigma_hi)
+
+        def refuses(threshold, above=None):
+            try:
+                conditional_exceedance(DEMO, threshold, n, prior, above=above)
+            except InfeasibleConditioningError:
+                return True
+            return False
+
+        lo, hi = 0.0, 2.0 * sigma_hi
+        assert refuses(lo) and not refuses(hi)
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if refuses(mid) else (lo, mid)
+        for threshold in (math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, 9.0)):
+            for above in (1e-6, 1e-3):
+                assert refuses(threshold, above) == refuses(threshold), (threshold, above)
+
+    @staticmethod
+    def _evaluations(monkeypatch, margin):
+        """Integrand evaluations of the uncapped demo schedule, and its rows."""
+        evals = [0]
+        real = calibration.integrate
+
+        def counting(f, *args, **kwargs):
+            def counted(x):
+                evals[0] += 1
+                return f(x)
+            return real(counted, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(calibration, "integrate", counting)
+            patch.setattr(calibration, "_SETTLE_MARGIN", margin)
+            _, rows = calibrate_schedule(DEMO, DEMO_PRIOR, [40, 80, 160, 320, 640],
+                                         cap_at_q0=False)
+        return evals[0], rows
+
+    def test_settling_saves_evaluations(self, monkeypatch):
+        settled, rows = self._evaluations(monkeypatch, calibration._SETTLE_MARGIN)
+        full, full_rows = self._evaluations(monkeypatch, math.inf)
+        assert rows == full_rows
+        assert settled < 0.8 * full
 
 
 class TestThresholdSchedule:

@@ -139,9 +139,9 @@ class TestCalibrateCommand:
         thresholds = []
         real = calibration.conditional_exceedance
 
-        def counting(spec, threshold, n, prior):
+        def counting(spec, threshold, n, prior, **kwargs):
             thresholds.append(threshold)
-            return real(spec, threshold, n, prior)
+            return real(spec, threshold, n, prior, **kwargs)
 
         monkeypatch.setattr(calibration, "conditional_exceedance", counting)
         code, out, _ = run_cli(capsys, "calibrate")

@@ -475,6 +475,60 @@ class TestIntegrateVector:
             integrate(lambda x: (1.0, 2.0) if x < 0.5 else (1.0,), 0.0, 1.0)
 
 
+class TestIntegrateStop:
+    """stop(total_w, total_u, err_w, err_u) ends refinement once it holds."""
+
+    @staticmethod
+    def _run(f, stop, **kwargs):
+        """integrate's result, or its IntegrationError; the evaluations; stop's arguments."""
+        evals, seen = [0], []
+
+        def counted(x):
+            evals[0] += 1
+            return f(x)
+
+        def recorded(*args):
+            seen.append(args)
+            return stop(len(seen), *args)
+
+        try:
+            result = integrate(counted, 0.0, 1.0, stop=recorded, **kwargs)
+        except IntegrationError as exc:
+            result = exc
+        return result, evals[0], seen
+
+    @pytest.mark.parametrize("holds_at", [1, 2, 5])
+    def test_checked_after_the_grid_and_after_each_split(self, holds_at):
+        f = lambda x: (_bump(x), x * _bump(x))
+        result, evals, seen = self._run(f, lambda calls, *_: calls == holds_at)
+        assert evals == 8 * 15 + 30 * (holds_at - 1) and len(seen) == holds_at
+        total_w, total_u, err_w, err_u = seen[-1]
+        assert result == (pytest.approx(total_w, rel=1e-14), pytest.approx(total_u, rel=1e-14))
+        assert err_w > 1e-10 * total_w    # stopped short of the tolerance
+
+    def test_a_stop_that_never_holds_changes_nothing(self):
+        f = lambda x: (_bump(x), math.exp(-x) * math.sin(7 * x))
+        result, evals, seen = self._run(f, lambda *_: False)
+        calls = []
+        plain = integrate(lambda x: calls.append(x) or f(x), 0.0, 1.0)
+        assert result == plain and evals == len(calls)
+        assert len(seen) == (evals - 8 * 15) // 30    # not once the tolerance is met
+        # a scalar integrand is the pair (f, 0.0)
+        result, _, seen = self._run(_bump, lambda *_: False)
+        assert result == integrate(_bump, 0.0, 1.0)
+        assert all(u == err_u == 0.0 for _, u, _, err_u in seen)
+
+    def test_stop_comes_before_the_budget(self):
+        # the budget allows 9 splits; a stop that holds at its 10th check
+        # returns the estimate the budget's error carries
+        exhausted, _, seen = self._run(lambda x: x ** -0.5, lambda *_: False,
+                                       rel_tol=1e-13, max_evals=400)
+        assert isinstance(exhausted, IntegrationError) and len(seen) == 10
+        result, evals, _ = self._run(lambda x: x ** -0.5, lambda calls, *_: calls == 10,
+                                     rel_tol=1e-13, max_evals=400)
+        assert result == exhausted.estimate and evals == 390
+
+
 class TestSeededStream:
     def test_identical_streams_identical_draws(self):
         a = SeededStream(seed=42, stream_index=3).generator().standard_normal(1000)

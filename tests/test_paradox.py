@@ -31,6 +31,7 @@ from threshcal.calibration import (
 from threshcal.errors import DomainError, InfeasibleConditioningError
 from threshcal.gaussian import (
     SeededStream,
+    integrate,
     log_std_normal_cdf,
     std_normal_quantile,
     std_normal_quantile_log,
@@ -311,6 +312,70 @@ LAW_SEEDS = 600
 LAW_TRIALS = 100_000
 
 
+# The sampler against the quadrature across the job space: SWEEP_JOBS
+# random jobs of SWEEP_TRIALS trials each, job i drawn from and seeded by i.
+SWEEP_JOBS = 300
+SWEEP_TRIALS = 2_000_000
+
+
+def sweep_job(index):
+    """(spec, threshold, n, prior): q0 log-uniform on [1e-3, 1e3], sigma_lo
+    from 1e-4 q0 to 3 q0, one prior in seven a point and the others up to
+    1e4 wide, n log-uniform up to 2^20 and the threshold from -q0 to 4 q0."""
+    rng = np.random.default_rng(index)
+    q0 = 10.0 ** rng.uniform(-3.0, 3.0)
+    sigma_lo = q0 * 10.0 ** rng.uniform(-4.0, 0.5)
+    prior = (SigmaPrior.point(sigma_lo) if rng.random() < 1 / 7 else
+             SigmaPrior.log_uniform(sigma_lo, sigma_lo * 10.0 ** rng.uniform(0.01, 4.0)))
+    n = int(2.0 ** rng.uniform(0.0, 20.0))
+    return SafetySpec(q0=q0, p0=0.01), q0 * rng.uniform(-1.0, 4.0), n, prior
+
+
+def prior_acceptance(threshold, n, prior):
+    """P(max of n draws <= threshold), averaged over the prior."""
+    if prior.kind == "point":
+        return acceptance_probability(prior.sigma_lo, threshold, n)
+    lo, hi = math.log(prior.sigma_lo), math.log(prior.sigma_hi)
+    return integrate(lambda t: acceptance_probability(math.exp(t), threshold, n),
+                     lo, hi, rel_tol=1e-6) / (hi - lo)
+
+
+def test_sampler_agrees_with_quadrature_across_the_job_space():
+    # a row's exceeding runs lie within 5 binomial SEs (at the quadrature's
+    # value, and at least one run) of kept * ce, or a side that refuses to
+    # condition has its documented reason
+    outcomes = {"compared": 0, "both refuse": 0, "sampler refuses": 0}
+    for index in range(SWEEP_JOBS):
+        spec, threshold, n, prior = sweep_job(index)
+        try:
+            ce = conditional_exceedance(spec, threshold, n, prior)
+        except InfeasibleConditioningError as exc:
+            assert "has negligible probability" in str(exc)
+            ce = None
+        try:
+            report = estimate_conditional_exceedance(spec, threshold, n, prior, SWEEP_TRIALS,
+                                                     SeededStream(seed=index, stream_index=7))
+        except InfeasibleConditioningError as exc:
+            assert "no accepted runs" in str(exc)
+            report = None
+        if ce is None:
+            # the acceptance probability is below 1e-300: no run can be kept
+            assert report is None, index
+            outcomes["both refuse"] += 1
+        elif report is None:
+            # no run kept, which takes an acceptance probability of about
+            # 1 / trials or less (30 / trials leaves it e^-30 likely)
+            assert prior_acceptance(threshold, n, prior) * SWEEP_TRIALS < 30.0, index
+            outcomes["sampler refuses"] += 1
+        else:
+            kept = report.accepted_runs
+            exceeding = round(report.estimate * kept)
+            se = max(math.sqrt(kept * ce * (1.0 - ce)), 1.0)
+            assert abs(exceeding - kept * ce) <= 5.0 * se, index
+            outcomes["compared"] += 1
+    assert outcomes["compared"] >= 200 and min(outcomes.values()) >= 10, outcomes
+
+
 # The screen of estimate_conditional_exceedance: thresholds of both signs,
 # 0 and within rounding of 0, counts across the whole range, wide, narrow
 # and point priors.  Thresholds whose boundary x = threshold / sigma sits
@@ -482,12 +547,14 @@ class TestAcceptanceScreen:
 
 # tracemalloc peak of one _BLOCK_TRIALS block, in MiB: the value measured
 # with numpy 2.4 (in parentheses) plus about 10%.  A verify row of that
-# many trials simulates only its undecided runs, a few hundred.  Minimal
+# many trials simulates only its undecided runs, a few hundred, except
+# under a prior too small to screen, where every run is undecided.  Minimal
 # effort and the fixed-scale counts draw no trials, so their bound is a
 # small constant, far below one block's arrays (0.5 MiB per float array).
 BLOCK_PEAK_MIB = {
     "estimate_conditional_exceedance": 0.055,   # (0.050)
     "estimate_conditional_exceedance-point": 0.019,   # (0.017)
+    "estimate_conditional_exceedance-undecided": 1.65,   # (1.51)
     "simulate_minimal_effort": 0.05,   # (0.002)
     "simulate_compliance-fixed_sigma": 0.05,   # (0.002)
     "paradox_curve": 0.05,   # (0.002)
@@ -509,6 +576,9 @@ def one_block_calls(rule):
     return {
         "estimate_conditional_exceedance": exceedance(DEMO_PRIOR),
         "estimate_conditional_exceedance-point": exceedance(SigmaPrior.point(0.3)),
+        # below _SCREEN_MIN_SIGMA nothing is screened: a full block of undecided runs
+        "estimate_conditional_exceedance-undecided": exceedance(
+            SigmaPrior.log_uniform(5e-324, 1e-300)),
         "simulate_minimal_effort": lambda: simulate_minimal_effort(40, _BLOCK_TRIALS, stream),
         "simulate_compliance-fixed_sigma": lambda: simulate_compliance(scenario, "schedule"),
         "paradox_curve": lambda: paradox_curve(1.0, rule, [40],
