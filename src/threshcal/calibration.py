@@ -58,8 +58,16 @@ _LOG_UNDERFLOW_FLOOR = math.log(1e-300)
 _LOG_FLOAT_MAX = math.log(math.nextafter(math.inf, 0.0))   # math.exp overflows above it
 
 # A probe compared only with p0 stops its quadrature once p0 lies this many
-# error bounds below the value (conditional_exceedance's `above`).
+# error estimates below the value (conditional_exceedance's `above`)...
 _SETTLE_MARGIN = 1000.0
+# ...and only while N / D is within this factor, either way, of its value
+# on the quadrature's initial grid.  integrate weighs the numerator's errors
+# against the denominator's by D / N on that grid.  Where the grid missed N
+# by a factor g, one component's rounding noise, weighted g (or 1/g) times
+# off, outranks the other's errors once g (or 1/g) nears rel_tol / eps,
+# about 4.5e5: the full quadrature then starves the other component and can
+# run out of budget.
+_SETTLE_GRID_FACTOR = 1000.0
 
 _MAX_EXPANSIONS = 64
 _MAX_CONTRACTIONS = 200
@@ -236,13 +244,20 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
 
     Both integrals run to relative tolerance 1e-10, unless above is given:
     a caller that only compares the value with above lets the quadrature
-    stop as soon as its error bounds eD and eN, widened K = _SETTLE_MARGIN
-    times, certify that the value exceeds above.  That takes D - K eD > 0
-    passing the conditioning check, so a probe that stops early could
-    never have raised InfeasibleConditioningError, and N - K eN >
-    above (D + K eD).  The value returned then is the coarser estimate,
-    still above `above`.  A value at or below above, and every value when
-    above is not a normal float, runs to the full 1e-10.
+    stop once its Gauss-Kronrod error estimates eD and eN, widened
+    K = _SETTLE_MARGIN times, put the value above `above`: D - K eD passes
+    the conditioning check (so a probe that stops early would not have
+    raised InfeasibleConditioningError) and N - K eN > above (D + K eD).
+    The estimates are not bounds, so the margin is a heuristic, backed by
+    the differential property of tests/test_calibration.py's
+    TestSettledProbes.  The stop also waits while N / D is more than
+    _SETTLE_GRID_FACTOR times off its value on the initial grid: there
+    the full quadrature can run out of budget (IntegrationError), and a
+    probe that stopped early would hide that.  The value returned is the fsum
+    over the panels, which differs from the running totals stop saw by
+    rounding, far inside the margin.  A value at or below above, and every
+    value when above is not a normal float (above * D would lose its
+    bits), runs to the full 1e-10.
     """
     threshold = _require_finite("threshold", threshold)
     n = _require_count("n", n)
@@ -285,9 +300,15 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
 
     stop = None
     if above is not None and above >= sys.float_info.min:   # below it, above * D underflows
+        grid = []   # N / D on the initial grid: integrate asks stop there first
+
         def stop(denom: float, numer: float, err_d: float, err_n: float) -> bool:
+            if not grid:
+                grid.append(numer / denom if denom > 0.0 else 0.0)
             return (conditionable(denom - _SETTLE_MARGIN * err_d)
-                    and numer - _SETTLE_MARGIN * err_n > above * (denom + _SETTLE_MARGIN * err_d))
+                    and numer - _SETTLE_MARGIN * err_n > above * (denom + _SETTLE_MARGIN * err_d)
+                    and grid[0] / _SETTLE_GRID_FACTOR <= numer / denom
+                    <= _SETTLE_GRID_FACTOR * grid[0])
 
     failure = None
     try:
@@ -338,10 +359,12 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
 
     A doubling, halving or bisection probe (and the uncapped probe at q0)
     is only compared with p0, so it asks conditional_exceedance for no more
-    than that: its quadrature stops once the exceedance is certainly above
-    p0.  A value kept as achieved is at most p0, so it always ran to full
-    tolerance; _SETTLE_MARGIN keeps every comparison the one a full-tolerance
-    probe would make.
+    than that: its quadrature stops once its error estimates, widened
+    _SETTLE_MARGIN times, put the exceedance above p0.  A value kept as
+    achieved is at most p0, so it always ran to full tolerance.  That the
+    margin keeps every comparison, and every quadrature failure, the one a
+    full-tolerance probe would make is shown by TestSettledProbes'
+    differential property, not proven.
 
     warm_start saves doubling calls: its doubling points q0 * 2^j are taken
     as feasible at n unevaluated, so it is q0 just shown feasible at n or

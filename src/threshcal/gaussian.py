@@ -368,8 +368,9 @@ def integrate(f: Callable, lo: float, hi: float,
 
     stop, when given, is called as stop(total_w, total_u, err_w, err_u) on
     the running totals of both components and their error bounds (a scalar
-    f's second component is 0.0 with error 0.0) before each split: after
-    the initial grid, and after each split that leaves the tolerance unmet.
+    f's second component is 0.0 with error 0.0) before each split: first
+    on the initial grid's totals, then after each split that leaves the
+    tolerance unmet.
     Once it returns true, refinement ends and the estimate so far is
     returned, so a caller that needs only a bound on the integrals stops
     as soon as the error bounds settle it.  It is asked before the budget

@@ -501,9 +501,18 @@ class TestWarmStart:
         assert len(calls) == 2
 
 
+# p0 log-uniform over the normal floats up to 0.2
+LOG_P0 = st.floats(math.log10(sys.float_info.min), math.log10(0.2)).map(lambda e: 10.0 ** e)
+# an uncapped n = 1820 job with the prior log_uniform(3.5e10, 1e308), as
+# TestSettledProbes.test_schedule_equals_full_tolerance_probes draws it
+GRID_MISS_JOB = dict(lo=math.log10(3.5e10 / 1.7e308), decades=math.log10(1e308 / 3.5e10),
+                     counts=[1820], cap=False)
+
+
 class TestSettledProbes:
-    """A probe compared only with p0 stops its quadrature once the exceedance
-    is certainly above p0; no published value or diagnostic moves."""
+    """A probe compared only with p0 stops its quadrature once its error
+    estimates, widened _SETTLE_MARGIN times, put the exceedance above p0;
+    no published value, diagnostic or error moves."""
 
     @staticmethod
     def _schedule(spec, prior, counts, cap):
@@ -514,30 +523,48 @@ class TestSettledProbes:
                 IntegrationError, SolverError) as exc:
             return type(exc), str(exc)
 
-    @settings(max_examples=60, deadline=None)
-    @given(q0=st.floats(1e-3, 1e3),
-           p0=st.one_of(st.floats(1e-6, 0.2), st.just(5e-324)),
-           lo=st.floats(-4.0, 1.0), decades=st.floats(0.01, 4.0),
-           counts=st.sets(st.integers(1, 2**20), min_size=1, max_size=5).map(sorted),
-           cap=st.booleans())
-    # with p0 subnormal, p0 * D underflows and would let a probe settle
-    # where the full quadrature runs out of budget: this schedule exits 2
-    @example(q0=1.7e308, p0=5e-324, lo=math.log10(3.5e10 / 1.7e308),
-             decades=math.log10(1e308 / 3.5e10), counts=[1820], cap=False)
-    def test_schedule_equals_full_tolerance_probes(self, q0, p0, lo, decades, counts, cap):
-        spec = SafetySpec(q0=q0, p0=p0)
-        sigma_lo = q0 * 10.0 ** lo
-        prior = SigmaPrior.log_uniform(sigma_lo, sigma_lo * 10.0 ** decades)
+    def _settled_and_full(self, spec, prior, counts, cap):
+        """_schedule as it runs, and with every probe to full tolerance."""
         settled = self._schedule(spec, prior, counts, cap)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(calibration, "_SETTLE_MARGIN", math.inf)   # never settles
             full = self._schedule(spec, prior, counts, cap)
+        return settled, full
+
+    @settings(max_examples=60, deadline=None)
+    @given(q0=st.floats(1e-3, 1e3), p0=st.one_of(LOG_P0, st.just(5e-324)),
+           lo=st.floats(-4.0, 1.0), decades=st.floats(0.01, 4.0),
+           counts=st.sets(st.integers(1, 2**20), min_size=1, max_size=5).map(sorted),
+           cap=st.booleans())
+    # the initial grid misses this job's numerator at thresholds near 1e307,
+    # and the full quadrature runs out of budget there (exit 2): at every p0
+    # a probe there must not stop early and get past it
+    @example(q0=1.7e308, p0=5e-324, **GRID_MISS_JOB)
+    @example(q0=1.7e308, p0=sys.float_info.min, **GRID_MISS_JOB)
+    @example(q0=1.7e308, p0=1e-300, **GRID_MISS_JOB)
+    @example(q0=1.7e308, p0=1e-200, **GRID_MISS_JOB)
+    def test_schedule_equals_full_tolerance_probes(self, q0, p0, lo, decades, counts, cap):
+        spec = SafetySpec(q0=q0, p0=p0)
+        sigma_lo = q0 * 10.0 ** lo
+        prior = SigmaPrior.log_uniform(sigma_lo, sigma_lo * 10.0 ** decades)
+        settled, full = self._settled_and_full(spec, prior, counts, cap)
         assert settled == full
+
+    def test_a_grid_that_overestimates_n_keeps_the_failure(self):
+        # at threshold q0 / 4 the initial grid overestimates N 1e13 times, so
+        # the full quadrature starves N and runs out of budget; the probe there,
+        # above p0 after a few splits, must not stop early and get past that
+        spec = SafetySpec(q0=7.479403722609009e-196, p0=6.488583800185976e-158)
+        prior = SigmaPrior.log_uniform(2.684980109437552e-197, 7.97304619507821e268)
+        settled, full = self._settled_and_full(spec, prior, [807051], True)
+        assert settled == full and settled[0] is IntegrationError
 
     @settings(max_examples=100, deadline=None)
     @given(threshold=st.floats(-1.0, 8.0), n=st.integers(1, 2**20),
-           above=st.one_of(st.floats(1e-6, 0.2), st.just(5e-324)),
+           above=st.one_of(LOG_P0, st.just(5e-324)),
            near=st.sampled_from([None, -1e-6, -1e-9, 1e-9, 1e-6]))
+    @example(threshold=1.0, n=40, above=sys.float_info.min, near=None)
+    @example(threshold=1.0, n=40, above=1e-300, near=None)
     def test_settled_value_sits_on_the_same_side(self, threshold, n, above, near):
         # above is drawn, or sits a relative distance `near` from the value
         try:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -426,6 +427,12 @@ class TestMainNeverRaises:
     @example(q0=5e-324, p0=5e-324, scales=[5e-324, 10.0], n=1, cap=False)
     @example(q0=1.872597015481579e306, p0=0.37109375,
              scales=[1.8725970154814152e306, 2.890514518756931e307], n=1, cap=False)
+    # a calibration probe of this job runs out of quadrature budget (exit 2);
+    # one stopped early as soon as it was above p0 went on to a decreasing
+    # schedule (exit 1) at the smallest normal p0
+    @example(q0=1.7e308, p0=sys.float_info.min, scales=[3.5e10, 1e308], n=1820, cap=False)
+    @example(q0=1.7e308, p0=1e-300, scales=[3.5e10, 1e308], n=1820, cap=False)
+    @example(q0=1.7e308, p0=1e-200, scales=[3.5e10, 1e308], n=1820, cap=False)
     def test_exits_with_a_documented_code(self, tmp_path_factory, command, q0, p0,
                                           scales, n, cap):
         # every field is valid except where 1/sigma_lo overflows or the

@@ -506,6 +506,15 @@ class TestIntegrateStop:
         assert result == (pytest.approx(total_w, rel=1e-14), pytest.approx(total_u, rel=1e-14))
         assert err_w > 1e-10 * total_w    # stopped short of the tolerance
 
+    def test_first_call_sees_the_initial_grid(self):
+        # a budget of one grid returns the grid's totals and error bounds
+        f = lambda x: (_bump(x), x * _bump(x))
+        _, _, seen = self._run(f, lambda *_: False)
+        with pytest.raises(IntegrationError) as grid:
+            integrate(f, 0.0, 1.0, max_evals=8 * 15)
+        assert seen[0][:2] == pytest.approx(grid.value.estimate, rel=1e-14)
+        assert seen[0][2:] == grid.value.error_bound
+
     def test_a_stop_that_never_holds_changes_nothing(self):
         f = lambda x: (_bump(x), math.exp(-x) * math.sin(7 * x))
         result, evals, seen = self._run(f, lambda *_: False)
