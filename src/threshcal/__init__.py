@@ -25,6 +25,7 @@ from .errors import (
     InfeasibleConditioningError,
     IntegrationError,
     SolverError,
+    UnboundedSolutionError,
 )
 from .gaussian import (
     SeededStream,
@@ -69,6 +70,7 @@ __all__ = [
     "SimulationReport",
     "SolverError",
     "StandardRule",
+    "UnboundedSolutionError",
     "acceptance_probability",
     "calibrate_schedule",
     "calibrate_threshold",

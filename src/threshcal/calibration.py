@@ -39,6 +39,7 @@ from .errors import (
     InfeasibleConditioningError,
     IntegrationError,
     SolverError,
+    UnboundedSolutionError,
 )
 from .gaussian import (
     _INV_SQRT2,
@@ -57,8 +58,9 @@ from .gaussian import (
 _LOG_UNDERFLOW_FLOOR = math.log(1e-300)
 _LOG_FLOAT_MAX = math.log(math.nextafter(math.inf, 0.0))   # math.exp overflows above it
 
-# A probe compared only with p0 stops its quadrature once p0 lies this many
-# error estimates below the value (conditional_exceedance's `above`)...
+# A probe compared only with cuts stops its quadrature once its cut lies this
+# many error estimates away from the value (conditional_exceedance's `above`
+# and `below`)...
 _SETTLE_MARGIN = 1000.0
 # ...and only while N / D is within this factor, either way, of its value
 # on the quadrature's initial grid.  integrate weighs the numerator's errors
@@ -229,7 +231,8 @@ def _require_invertible_sigma_lo(prior: SigmaPrior) -> None:
 
 
 def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
-                           prior: SigmaPrior, *, above: float | None = None) -> float:
+                           prior: SigmaPrior, *, above: float | None = None,
+                           below: float | None = None) -> float:
     """P(next draw > q0 | max of n draws <= threshold), prior-averaged.
 
     Under a point prior the conditioning event is independent of the next
@@ -242,22 +245,28 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
     underflows to 0 the numerator's tail probability is not computed.  A
     log-uniform sigma_lo whose 1/sigma_lo overflows raises DomainError.
 
-    Both integrals run to relative tolerance 1e-10, unless above is given:
-    a caller that only compares the value with above lets the quadrature
-    stop once its Gauss-Kronrod error estimates eD and eN, widened
-    K = _SETTLE_MARGIN times, put the value above `above`: D - K eD passes
-    the conditioning check (so a probe that stops early would not have
-    raised InfeasibleConditioningError) and N - K eN > above (D + K eD).
+    Both integrals run to relative tolerance 1e-10, unless a cut is given:
+    a caller that only compares the value with the cuts above and below
+    lets the quadrature stop once its Gauss-Kronrod error estimates eD and
+    eN, widened K = _SETTLE_MARGIN times, put the value above `above`
+    (N - K eN > above (D + K eD)) or below `below` (N + K eN <
+    below (D - K eD)).  Either way D - K eD must pass the conditioning
+    check, so a probe that stops early would not have raised
+    InfeasibleConditioningError, and N - K eN must be positive (the above
+    side implies it): where the nodes missed most of N, its error estimate
+    is as large as N itself, and a value below `below` would mean nothing.
     The estimates are not bounds, so the margin is a heuristic, backed by
     the differential property of tests/test_calibration.py's
     TestSettledProbes.  The stop also waits while N / D is more than
     _SETTLE_GRID_FACTOR times off its value on the initial grid: there
     the full quadrature can run out of budget (IntegrationError), and a
-    probe that stopped early would hide that.  The value returned is the fsum
-    over the panels, which differs from the running totals stop saw by
-    rounding, far inside the margin.  A value at or below above, and every
-    value when above is not a normal float (above * D would lose its
-    bits), runs to the full 1e-10.
+    probe that stopped early would hide that.
+    The value returned is the fsum over the panels, which differs from the
+    running totals stop saw by rounding, far inside the margin.  So a value
+    that settled lies strictly on the far side of its cut, and is only
+    good for that comparison; a value between the cuts (inclusive), and
+    every value on the side of a cut that is not a normal float (the cut
+    times D would lose its bits), runs to the full 1e-10.
     """
     threshold = _require_finite("threshold", threshold)
     n = _require_count("n", n)
@@ -298,15 +307,21 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
         mean = denom / (t_hi - t_lo) if denom > 0.0 else 0.0
         return mean > 0.0 and shift + math.log(mean) >= _LOG_UNDERFLOW_FLOOR
 
+    # below the smallest normal float, a cut times D underflows
+    above = above if above is not None and above >= sys.float_info.min else math.inf
+    below = below if below is not None and below >= sys.float_info.min else 0.0
     stop = None
-    if above is not None and above >= sys.float_info.min:   # below it, above * D underflows
+    if above < math.inf or below > 0.0:
         grid = []   # N / D on the initial grid: integrate asks stop there first
 
         def stop(denom: float, numer: float, err_d: float, err_n: float) -> bool:
             if not grid:
                 grid.append(numer / denom if denom > 0.0 else 0.0)
-            return (conditionable(denom - _SETTLE_MARGIN * err_d)
-                    and numer - _SETTLE_MARGIN * err_n > above * (denom + _SETTLE_MARGIN * err_d)
+            # N and D each within K error estimates of their running totals
+            n_lo, n_hi = numer - _SETTLE_MARGIN * err_n, numer + _SETTLE_MARGIN * err_n
+            d_lo, d_hi = denom - _SETTLE_MARGIN * err_d, denom + _SETTLE_MARGIN * err_d
+            return (conditionable(d_lo) and n_lo > 0.0
+                    and (n_lo > above * d_hi or n_hi < below * d_lo)
                     and grid[0] / _SETTLE_GRID_FACTOR <= numer / denom
                     <= _SETTLE_GRID_FACTOR * grid[0])
 
@@ -343,8 +358,8 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     is known as soon as q0 is feasible: the result is then threshold q0,
     stop_reason "capped", 0 iterations and bracket (q0, q0), and the root
     above q0 is not searched for.  Ask for it with cap_at_q0=False; that
-    raises SolverError where the constraint holds at every threshold tried
-    (always, under a point prior).  A log-uniform sigma_lo whose 1/sigma_lo
+    raises UnboundedSolutionError, a SolverError, where the constraint holds
+    at every threshold tried (always, under a point prior).  A log-uniform sigma_lo whose 1/sigma_lo
     overflows raises DomainError first, whatever q0 and p0 are.
 
     Otherwise root-finding is bisection on the rising branch of the threshold
@@ -357,14 +372,21 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     first; stop_reason names which.  The result is always the feasible end of
     the bracket, so achieved <= p0.
 
-    A doubling, halving or bisection probe (and the uncapped probe at q0)
-    is only compared with p0, so it asks conditional_exceedance for no more
-    than that: its quadrature stops once its error estimates, widened
-    _SETTLE_MARGIN times, put the exceedance above p0.  A value kept as
-    achieved is at most p0, so it always ran to full tolerance.  That the
+    Each probe asks conditional_exceedance for no more than the comparisons
+    its value goes into, so its quadrature stops once its error estimates,
+    widened _SETTLE_MARGIN times, put the exceedance on one side of a cut.
+    A doubling or halving probe, and the uncapped probe at q0, has the cuts
+    p0 and p0; a bisection probe has p0 and p0 - tol (a midpoint at or
+    above p0 - tol ends the search and is published; with p0 <= tol every
+    feasible midpoint does, so it has no lower cut); a capped row's probe at
+    q0 has only the upper cut p0, since a value at or below it is published.
+    A feasible value below its lower cut is provisional: a row that does
+    not stop on tol publishes lo's value from one more call at full
+    tolerance, bit-identical to a probe that never settled.  That the
     margin keeps every comparison, and every quadrature failure, the one a
     full-tolerance probe would make is shown by TestSettledProbes'
-    differential property, not proven.
+    differential property, not proven; where a provisional value turns out
+    above p0 at full tolerance, SolverError is raised.
 
     warm_start saves doubling calls: its doubling points q0 * 2^j are taken
     as feasible at n unevaluated, so it is q0 just shown feasible at n or
@@ -395,38 +417,40 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
         # Conditioning is vacuous: the constraint holds at every threshold.
         if cap_at_q0:
             return capped(marg_lo)
-        raise SolverError(
+        raise UnboundedSolutionError(
             "the exceedance constraint holds at every threshold under this point "
             "prior; there is no finite uncapped solution (enable cap_at_q0)")
 
-    lo, ce_lo, doublings = spec.q0, None, 0
+    lo, ce_q0, doublings, warm = spec.q0, None, 0, False
     if cap_at_q0 or warm_start is None or not warm_start >= spec.q0:
         try:
-            ce_lo = conditional_exceedance(spec, spec.q0, n, prior,
-                                           above=None if cap_at_q0 else spec.p0)
+            ce_q0 = conditional_exceedance(spec, spec.q0, n, prior, above=spec.p0,
+                                           below=None if cap_at_q0 else spec.p0)
         except InfeasibleConditioningError:
             if cap_at_q0:
                 raise
-        if cap_at_q0 and ce_lo <= spec.p0:
-            return capped(ce_lo)
+        if cap_at_q0 and ce_q0 <= spec.p0:
+            return capped(ce_q0)
     else:
         # the doubling points up to warm_start are known feasible
+        warm = True
         while doublings < _MAX_EXPANSIONS and 2.0 * lo <= warm_start:
             lo, doublings = 2.0 * lo, doublings + 1
-    if ce_lo is None or ce_lo <= spec.p0:
+    if ce_q0 is None or ce_q0 <= spec.p0:
         hi = None
         trial = 2.0 * lo
         for _ in range(_MAX_EXPANSIONS - doublings):
             if trial == math.inf:   # the doubling overflowed: no larger threshold
                 break
-            ce_trial = conditional_exceedance(spec, trial, n, prior, above=spec.p0)
+            ce_trial = conditional_exceedance(spec, trial, n, prior,
+                                              above=spec.p0, below=spec.p0)
             if ce_trial > spec.p0:
                 hi = trial
                 break
-            lo, ce_lo = trial, ce_trial
+            lo, warm = trial, False
             trial *= 2.0
         if hi is None:
-            raise SolverError(
+            raise UnboundedSolutionError(
                 f"bracket expansion failed: conditional exceedance stayed below "
                 f"p0 = {spec.p0} up to threshold {lo}")
     else:
@@ -435,11 +459,12 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
         trial = 0.5 * spec.q0
         for _ in range(_MAX_CONTRACTIONS):
             try:
-                ce_trial = conditional_exceedance(spec, trial, n, prior, above=spec.p0)
+                ce_trial = conditional_exceedance(spec, trial, n, prior,
+                                                  above=spec.p0, below=spec.p0)
             except InfeasibleConditioningError:
                 break
             if ce_trial <= spec.p0:
-                lo, ce_lo = trial, ce_trial
+                lo = trial
                 break
             hi = trial
             trial *= 0.5
@@ -449,8 +474,12 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
                 f"for every threshold below q0 = {spec.q0}; prior mass up to "
                 f"sigma_hi = {prior.sigma_hi} is too heavy for n = {n}")
 
+    # a feasible midpoint at or above cut ends the search and is published;
+    # with p0 <= tol every feasible midpoint does, so none may settle
+    cut = spec.p0 - tol if spec.p0 > tol else None
     iterations = 0
     stop_reason = "resolution"
+    achieved = None
     while hi - lo > resolution:
         if iterations == _MAX_BISECTIONS:
             stop_reason = "bisection_cap"
@@ -458,20 +487,26 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
         mid = 0.5 * (lo + hi)
         if mid == math.inf:   # lo + hi overflowed; halving each first is exact up here
             mid = 0.5 * lo + 0.5 * hi
-        ce_mid = conditional_exceedance(spec, mid, n, prior, above=spec.p0)
+        ce_mid = conditional_exceedance(spec, mid, n, prior, above=spec.p0, below=cut)
         iterations += 1
         if ce_mid > spec.p0:
             hi = mid
             continue
-        lo, ce_lo = mid, ce_mid
-        if spec.p0 - ce_mid <= tol:
-            stop_reason = "tol"
+        lo, warm = mid, False
+        if cut is None or ce_mid >= cut:
+            achieved, stop_reason = ce_mid, "tol"
             break
-    if ce_lo is None:
-        ce_lo = conditional_exceedance(spec, lo, n, prior)
-        if ce_lo > spec.p0:
-            return calibrate_threshold(spec, n, prior, cap_at_q0=False, tol=tol)
-    return CalibrationResult(threshold=lo, achieved=ce_lo, iterations=iterations,
+    if achieved is None:
+        # lo is a warm-start point taken as feasible unevaluated, or a probe
+        # that may have settled below its cut: publish its full value
+        achieved = conditional_exceedance(spec, lo, n, prior)
+        if achieved > spec.p0:
+            if warm:
+                return calibrate_threshold(spec, n, prior, cap_at_q0=False, tol=tol)
+            raise SolverError(
+                f"the probe at threshold {lo} settled at most p0 = {spec.p0}, "
+                f"but its full-tolerance conditional exceedance is {achieved}")
+    return CalibrationResult(threshold=lo, achieved=achieved, iterations=iterations,
                              bracket=(lo, hi), stop_reason=stop_reason)
 
 

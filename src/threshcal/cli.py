@@ -68,6 +68,7 @@ from .errors import (
     InfeasibleConditioningError,
     IntegrationError,
     SolverError,
+    UnboundedSolutionError,
 )
 from .gaussian import (
     SeededStream,
@@ -209,8 +210,8 @@ def cmd_calibrate(job: JobSpec) -> tuple[int, str]:
     A capped calibration does not search for the root above q0, so for a
     capped row the uncapped_threshold and iterations columns come from a
     second, uncapped calibration: its threshold and bisection steps, or
-    inf and 0 when it raises SolverError because the exceedance stays
-    below p0 at every threshold (always, under a point prior).  It
+    inf and 0 when it raises UnboundedSolutionError because the exceedance
+    stays below p0 at every threshold (always, under a point prior).  It
     warm-starts at q0, which the capped one just showed feasible.
     """
     result = calibrate_threshold(job.spec, job.n_required, job.prior,
@@ -221,7 +222,7 @@ def cmd_calibrate(job: JobSpec) -> tuple[int, str]:
             root = calibrate_threshold(job.spec, job.n_required, job.prior,
                                        cap_at_q0=False, tol=job.tol, warm_start=job.spec.q0)
             iterations, uncapped = root.iterations, root.threshold
-        except SolverError:
+        except UnboundedSolutionError:
             iterations, uncapped = 0, math.inf
     rows = [["threshold", "achieved", "capped", "iterations",
              "uncapped_threshold", "bracket_lo", "bracket_hi"],

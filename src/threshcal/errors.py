@@ -1,6 +1,6 @@
 """Exception types shared across the package, with the command line's exit
 code for each: DomainError 1; InfeasibilityError, InfeasibleConditioningError,
-SolverError and IntegrationError 2."""
+SolverError (UnboundedSolutionError included) and IntegrationError 2."""
 
 
 class DomainError(ValueError):
@@ -31,4 +31,11 @@ class InfeasibilityError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """Threshold bracketing failed to enclose a solution."""
+    """The threshold search failed: bracketing did not enclose a solution,
+    or a probe that stopped its quadrature early turned out above p0 at
+    full tolerance."""
+
+
+class UnboundedSolutionError(SolverError):
+    """The exceedance constraint holds at every threshold tried, so there is
+    no finite uncapped solution."""

@@ -380,12 +380,12 @@ class TestCappedShortcut:
     @staticmethod
     def _count_calls(monkeypatch):
         """Each conditional_exceedance call's positional arguments, then its
-        `above` (None for a probe run to full tolerance)."""
+        cuts `above` and `below` (None for a side that never settles)."""
         calls = []
         real = calibration.conditional_exceedance
 
         def counting(*args, **kwargs):
-            calls.append((*args, kwargs.get("above")))
+            calls.append((*args, kwargs.get("above"), kwargs.get("below")))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(calibration, "conditional_exceedance", counting)
@@ -395,7 +395,8 @@ class TestCappedShortcut:
         calls = self._count_calls(monkeypatch)
         result = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=True)
         assert result.capped is True
-        assert calls == [(DEMO, DEMO.q0, 40, DEMO_PRIOR, None)]
+        # a value above p0 would be discarded, so q0's probe may settle there
+        assert calls == [(DEMO, DEMO.q0, 40, DEMO_PRIOR, DEMO.p0, None)]
 
     def test_capped_schedule_makes_one_call_per_row(self, monkeypatch):
         calls = self._count_calls(monkeypatch)
@@ -469,9 +470,11 @@ class TestWarmStart:
         counts = [40, 80, 160, 320, 640]
         calibrate_schedule(DEMO, DEMO_PRIOR, counts, cap_at_q0=False)
         assert len(calls) == 42        # 49 when every row starts at q0
-        assert [n for _, t, n, _, _ in calls if t == DEMO.q0] == [40]
-        # uncapped, q0's probe too is only compared with p0
-        assert {above for *_, above in calls} == {DEMO.p0}
+        assert [n for _, t, n, *_ in calls if t == DEMO.q0] == [40]
+        # uncapped, q0's probe too is only compared with p0; a bisection
+        # probe also with p0 - tol, where the search ends
+        assert {above for *_, above, _ in calls} == {DEMO.p0}
+        assert {below for *_, below in calls} == {DEMO.p0, DEMO.p0 - 1e-4}
 
     @pytest.mark.parametrize("warm_start", [1.0, 2.0**10, 2.0**64, 2.0**70, math.inf])
     def test_expansion_limit_counts_from_q0(self, monkeypatch, warm_start):
@@ -506,36 +509,41 @@ LOG_P0 = st.floats(math.log10(sys.float_info.min), math.log10(0.2)).map(lambda e
 # an uncapped n = 1820 job with the prior log_uniform(3.5e10, 1e308), as
 # TestSettledProbes.test_schedule_equals_full_tolerance_probes draws it
 GRID_MISS_JOB = dict(lo=math.log10(3.5e10 / 1.7e308), decades=math.log10(1e308 / 3.5e10),
-                     counts=[1820], cap=False)
+                     counts=[1820], cap=False, tol=1e-4)
+# the uncapped demo schedule, as the same property draws it
+DEMO_JOB = dict(q0=1.0, p0=0.01, lo=-2.0, decades=3.0, counts=[40, 80, 160, 320, 640],
+                cap=False)
 
 
 class TestSettledProbes:
-    """A probe compared only with p0 stops its quadrature once its error
-    estimates, widened _SETTLE_MARGIN times, put the exceedance above p0;
-    no published value, diagnostic or error moves."""
+    """A probe compared only with cuts (p0, and p0 - tol for a bisection
+    probe) stops its quadrature once its error estimates, widened
+    _SETTLE_MARGIN times, put the exceedance on one side of a cut; no
+    published value, diagnostic or error moves."""
 
     @staticmethod
-    def _schedule(spec, prior, counts, cap):
+    def _schedule(spec, prior, counts, cap, tol=1e-4):
         """calibrate_schedule's rule and rows, or its error's type and message."""
         try:
-            return calibrate_schedule(spec, prior, counts, cap_at_q0=cap)
+            return calibrate_schedule(spec, prior, counts, cap_at_q0=cap, tol=tol)
         except (DomainError, InfeasibilityError, InfeasibleConditioningError,
                 IntegrationError, SolverError) as exc:
             return type(exc), str(exc)
 
-    def _settled_and_full(self, spec, prior, counts, cap):
+    def _settled_and_full(self, spec, prior, counts, cap, tol=1e-4):
         """_schedule as it runs, and with every probe to full tolerance."""
-        settled = self._schedule(spec, prior, counts, cap)
+        settled = self._schedule(spec, prior, counts, cap, tol)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(calibration, "_SETTLE_MARGIN", math.inf)   # never settles
-            full = self._schedule(spec, prior, counts, cap)
+            full = self._schedule(spec, prior, counts, cap, tol)
         return settled, full
 
     @settings(max_examples=60, deadline=None)
     @given(q0=st.floats(1e-3, 1e3), p0=st.one_of(LOG_P0, st.just(5e-324)),
            lo=st.floats(-4.0, 1.0), decades=st.floats(0.01, 4.0),
            counts=st.sets(st.integers(1, 2**20), min_size=1, max_size=5).map(sorted),
-           cap=st.booleans())
+           cap=st.booleans(),
+           tol=st.floats(-15.0, math.log10(0.4)).map(lambda e: 10.0 ** e))
     # the initial grid misses this job's numerator at thresholds near 1e307,
     # and the full quadrature runs out of budget there (exit 2): at every p0
     # a probe there must not stop early and get past it
@@ -543,11 +551,16 @@ class TestSettledProbes:
     @example(q0=1.7e308, p0=sys.float_info.min, **GRID_MISS_JOB)
     @example(q0=1.7e308, p0=1e-300, **GRID_MISS_JOB)
     @example(q0=1.7e308, p0=1e-200, **GRID_MISS_JOB)
-    def test_schedule_equals_full_tolerance_probes(self, q0, p0, lo, decades, counts, cap):
+    # the lower cut p0 - tol: dropped at tol == p0, one ulp of p0 when tol is
+    # one ulp below it, and below every value (rows end on resolution) at 1e-15
+    @example(**DEMO_JOB, tol=0.01)
+    @example(**DEMO_JOB, tol=math.nextafter(0.01, 0.0))
+    @example(**DEMO_JOB, tol=1e-15)
+    def test_schedule_equals_full_tolerance_probes(self, q0, p0, lo, decades, counts, cap, tol):
         spec = SafetySpec(q0=q0, p0=p0)
         sigma_lo = q0 * 10.0 ** lo
         prior = SigmaPrior.log_uniform(sigma_lo, sigma_lo * 10.0 ** decades)
-        settled, full = self._settled_and_full(spec, prior, counts, cap)
+        settled, full = self._settled_and_full(spec, prior, counts, cap, tol)
         assert settled == full
 
     def test_a_grid_that_overestimates_n_keeps_the_failure(self):
@@ -559,25 +572,83 @@ class TestSettledProbes:
         settled, full = self._settled_and_full(spec, prior, [807051], True)
         assert settled == full and settled[0] is IntegrationError
 
+    def test_a_grid_that_misses_n_keeps_the_failure(self):
+        # at the halving probe 29.72 the initial grid sees N / D = 1.4e-286,
+        # far below p0, with eN = N: the nodes missed most of N, whose full
+        # quadrature finds 1e52 times more and runs out of budget; the probe
+        # must not settle below p0 and get past that
+        spec = SafetySpec(q0=237.78851830727578, p0=6.217995042921271e-90)
+        prior = SigmaPrior.log_uniform(8.555287478608488e-49, 1.2234461400584793e+30)
+        settled, full = self._settled_and_full(spec, prior, [873402], False, spec.p0)
+        assert settled == full and settled[0] is IntegrationError
+
+    def test_a_settled_lo_is_published_at_full_tolerance(self, monkeypatch):
+        # one bisection step: the midpoint 1.5 is feasible but not within tol
+        # of p0, so its probe settles and the row stops on bisection_cap
+        monkeypatch.setattr(calibration, "_MAX_BISECTIONS", 1)
+        result = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(calibration, "_SETTLE_MARGIN", math.inf)
+            full = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=False)
+        assert result.stop_reason == "bisection_cap" and result == full
+        assert result.achieved.hex() == full.achieved.hex()
+        settled = conditional_exceedance(DEMO, result.threshold, 40, DEMO_PRIOR,
+                                         above=DEMO.p0, below=DEMO.p0 - 1e-4)
+        assert settled < DEMO.p0 - 1e-4 and settled != result.achieved
+
+    @pytest.mark.parametrize("cap, n, p0, warm_start, runs", [
+        (False, 40, 0.01, None, 1),   # doubling, then bisection to resolution
+        (False, 80, 0.01, 1.0, 1),    # warm-started at q0, lo moved by a probe
+        (False, 40, 0.01, 1e6, 2),    # lo stays the warm point: one cold rerun
+        (True, 80, 1e-5, None, 1),    # capped, halving below an infeasible q0
+    ])
+    def test_a_contradicted_settled_probe_raises(self, monkeypatch, cap, n, p0,
+                                                 warm_start, runs):
+        # every probe runs as it would, but lo's full-tolerance value, asked
+        # for at the end of the row, lands above p0
+        spec = SafetySpec(q0=1.0, p0=p0)
+        real_ce, real_calibrate = calibration.conditional_exceedance, calibrate_threshold
+        calls = []
+
+        def contradicting(*args, above=None, below=None):
+            if above is None and below is None:
+                return 2.0 * p0
+            return real_ce(*args, above=above, below=below)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "conditional_exceedance", contradicting)
+        monkeypatch.setattr(calibration, "calibrate_threshold", counting)
+        with pytest.raises(SolverError, match="settled at most p0"):
+            counting(spec, n, DEMO_PRIOR, cap_at_q0=cap, tol=1e-15, warm_start=warm_start)
+        assert len(calls) == runs
+
     @settings(max_examples=100, deadline=None)
     @given(threshold=st.floats(-1.0, 8.0), n=st.integers(1, 2**20),
-           above=st.one_of(LOG_P0, st.just(5e-324)),
-           near=st.sampled_from([None, -1e-6, -1e-9, 1e-9, 1e-6]))
-    @example(threshold=1.0, n=40, above=sys.float_info.min, near=None)
-    @example(threshold=1.0, n=40, above=1e-300, near=None)
-    def test_settled_value_sits_on_the_same_side(self, threshold, n, above, near):
-        # above is drawn, or sits a relative distance `near` from the value
+           cut=st.one_of(LOG_P0, st.just(5e-324)),
+           near=st.sampled_from([None, -1e-6, -1e-9, 1e-9, 1e-6]),
+           side=st.sampled_from(["above", "below"]))
+    @example(threshold=1.0, n=40, cut=sys.float_info.min, near=None, side="above")
+    @example(threshold=1.0, n=40, cut=1e-300, near=None, side="above")
+    @example(threshold=1.0, n=40, cut=0.01, near=None, side="below")
+    @example(threshold=1.0, n=40, cut=0.0, near=-1e-6, side="below")
+    @example(threshold=1.0, n=40, cut=0.0, near=1e-6, side="below")
+    def test_settled_value_sits_on_the_same_side(self, threshold, n, cut, near, side):
+        # the cut, `above` or `below`, is drawn, or sits a relative distance
+        # `near` from the value
         try:
             full = conditional_exceedance(DEMO, threshold, n, DEMO_PRIOR)
         except InfeasibleConditioningError:
             with pytest.raises(InfeasibleConditioningError):
-                conditional_exceedance(DEMO, threshold, n, DEMO_PRIOR, above=above)
+                conditional_exceedance(DEMO, threshold, n, DEMO_PRIOR, **{side: cut})
             return
         if near is not None:
-            above = full * (1.0 + near)
-        settled = conditional_exceedance(DEMO, threshold, n, DEMO_PRIOR, above=above)
-        assert (settled > above) == (full > above)
-        if full <= above or above < sys.float_info.min:
+            cut = full * (1.0 + near)
+        settled = conditional_exceedance(DEMO, threshold, n, DEMO_PRIOR, **{side: cut})
+        assert (settled > cut, settled < cut) == (full > cut, full < cut)
+        if (full <= cut if side == "above" else full >= cut) or cut < sys.float_info.min:
             assert settled == full
 
     @pytest.mark.parametrize("n", [2000, 20000])
@@ -588,9 +659,9 @@ class TestSettledProbes:
         # one does
         prior = SigmaPrior.log_uniform(sigma_lo, sigma_hi)
 
-        def refuses(threshold, above=None):
+        def refuses(threshold, **cut):
             try:
-                conditional_exceedance(DEMO, threshold, n, prior, above=above)
+                conditional_exceedance(DEMO, threshold, n, prior, **cut)
             except InfeasibleConditioningError:
                 return True
             return False
@@ -601,8 +672,8 @@ class TestSettledProbes:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if refuses(mid) else (lo, mid)
         for threshold in (math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, 9.0)):
-            for above in (1e-6, 1e-3):
-                assert refuses(threshold, above) == refuses(threshold), (threshold, above)
+            for cut in ({"above": 1e-6}, {"above": 1e-3}, {"below": 1e-3}, {"below": 0.4}):
+                assert refuses(threshold, **cut) == refuses(threshold), (threshold, cut)
 
     @staticmethod
     def _evaluations(monkeypatch, margin):

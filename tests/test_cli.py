@@ -149,6 +149,23 @@ class TestCalibrateCommand:
         assert code == EXIT_OK and out.splitlines()[1].split(",")[2] == "true"
         assert thresholds.count(1.0) == 1
 
+    def test_contradicted_settled_probe_exits_2(self, capsys, monkeypatch, tmp_path):
+        # the uncapped root's bisection ends on resolution, so its lo's value
+        # is asked for at full tolerance; patched to land above p0, that is a
+        # failed search (exit 2), not a root at infinity
+        real = calibration.conditional_exceedance
+
+        def contradicting(spec, threshold, n, prior, **cuts):
+            if not cuts:
+                return 2.0 * spec.p0
+            return real(spec, threshold, n, prior, **cuts)
+
+        monkeypatch.setattr(calibration, "conditional_exceedance", contradicting)
+        path = write_job(tmp_path, tol=1e-15)
+        code, out, err = run_cli(capsys, "calibrate", "--job", path)
+        assert code == EXIT_INFEASIBLE and out == ""
+        assert err.startswith("infeasible: the probe at threshold")
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "calibrate")
         _, out2, _ = run_cli(capsys, "calibrate")
