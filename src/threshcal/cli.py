@@ -44,11 +44,17 @@ digit numbers; diagnostics go to standard error.  Exit codes:
     3  verification failure: a verify row whose estimate exceeds p0 by
        more than four standard errors, whose conditioning event never
        accepts, or that is underpowered
+
+Repeated main() calls in one process share one argument parser, built by
+the first.  The Monte Carlo module, and numpy with it, is imported only by
+the commands that simulate (verify, simulate, expected-max), so calibrate
+and schedule run without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -76,14 +82,6 @@ from .gaussian import (
     _require_counts,
     _require_finite,
     std_normal_quantile,
-)
-from .paradox import (
-    estimate_conditional_exceedance,
-    expected_max_asymptotic,
-    expected_max_exact,
-    expected_max_monte_carlo,
-    paradox_curve,
-    simulate_minimal_effort,
 )
 
 EXIT_OK = 0
@@ -281,6 +279,8 @@ def cmd_verify(job: JobSpec, schedule_text: str) -> tuple[int, str]:
     so it could not have caught one.  It does not pass, and stderr names
     the kept runs it needs.  Every other row passes ("true").
     """
+    from .paradox import estimate_conditional_exceedance
+
     entries = _parse_schedule_csv(schedule_text)
     base = SeededStream(seed=job.seed, stream_index=STREAM_VERIFY)
     rows = [["n_prime", "threshold", "estimate", "standard_error",
@@ -313,6 +313,8 @@ def cmd_verify(job: JobSpec, schedule_text: str) -> tuple[int, str]:
 
 def cmd_simulate(job: JobSpec, mode: str) -> tuple[int, str]:
     """Demonstration runs; see the module docstring for the two modes."""
+    from .paradox import paradox_curve, simulate_minimal_effort
+
     if mode == "minimal_effort":
         stream = SeededStream(seed=job.seed, stream_index=STREAM_MINIMAL_EFFORT)
         report = simulate_minimal_effort(job.n_required, job.trials, stream)
@@ -341,6 +343,9 @@ def cmd_simulate(job: JobSpec, mode: str) -> tuple[int, str]:
 def cmd_expected_max(n: int, sigma: float, method: str, trials: int,
                      seed: int) -> tuple[int, str]:
     """Expected-maximum estimates; method 'all' compares the three routes."""
+    from .paradox import (expected_max_asymptotic, expected_max_exact,
+                          expected_max_monte_carlo)
+
     stream = SeededStream(seed=seed, stream_index=STREAM_EXPECTED_MAX)
     if method == "asymptotic":
         return EXIT_OK, _fmt(expected_max_asymptotic(n, sigma)) + "\n"
@@ -366,7 +371,9 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = _Parser(prog="threshcal",
                      description="calibrate and verify count-dependent safety test thresholds")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -16,7 +16,9 @@ once and compares its row maximum against cutoffs:
 * "one further draw exceeds the maximum of n" is exactly a
   Bernoulli(1/(n+1)) event, so its count is one binomial draw too;
 * where the value of the maximum is needed (a random scale, a mean, a
-  ratio of two maxima) it is std_normal_quantile_log(ln U / n).
+  ratio of two maxima) it is std_normal_quantile_log(ln U / n), the
+  vectorised quantile defined here (gaussian keeps the scalar routines,
+  which calibration uses without numpy).
 
 At a random scale, estimate_conditional_exceedance squeezes that
 quantile (Marsaglia 1977): per cell of ln sigma, two cutoffs of the first
@@ -48,10 +50,15 @@ import numpy as np
 from .calibration import SafetySpec, SigmaPrior, StandardRule
 from .errors import DomainError, InfeasibleConditioningError
 from .gaussian import (
+    _ACK_A,
+    _ACK_B,
+    _ACK_C,
+    _ACK_D,
+    _ACK_LOG_P_HIGH,
+    _ACK_LOG_P_LOW,
     _INV_SQRT2,
     SeededStream,
     _log_std_normal_cdf,
-    _quantile_log_in_place,
     _require_count,
     _require_counts,
     _require_finite,
@@ -95,6 +102,95 @@ _SCREEN_X_CLIP = 1e300
 _SCREEN_MIN_SIGMA = 2.0 ** -900
 
 _RULE_KINDS = ("fixed_threshold", "schedule")
+
+# Elements per slice of std_normal_quantile_log: a slice and its two scratch rows
+# (128 KiB each) stay in L2 over its ~30 passes; 16384 beat 8192 and 32768.
+_ARRAY_SLICE = 16384
+
+
+def std_normal_quantile_log(log_p) -> np.ndarray:
+    """Phi^-1(exp(log_p)) elementwise, for log_p in [-inf, 0].
+
+    Acklam's approximation without polish (numpy has no erfc to polish
+    against), so the relative error is about 1.2e-9.  The argument is a
+    log-probability so that maxima of many draws keep their digits: the
+    lower tail uses log_p directly and the upper tail takes 1 - p as
+    -expm1(log_p).  The ends map to -inf (log_p = -inf) and +inf
+    (log_p = 0).  A float64 copy of log_p is overwritten in place, in
+    slices of _ARRAY_SLICE elements, with two slice-length scratch rows
+    made once per call; no element's value depends on the slicing.
+    """
+    return _quantile_log_in_place(np.array(log_p, dtype=float, order="C"))
+
+
+def _quantile_log_in_place(x: np.ndarray) -> np.ndarray:
+    """std_normal_quantile_log of the C-contiguous float64 array x, written over x."""
+    flat = x.reshape(-1)
+    r, num = np.empty((2, min(flat.size, _ARRAY_SLICE)))
+    for start in range(0, flat.size, _ARRAY_SLICE):
+        part = flat[start:start + _ARRAY_SLICE]
+        _quantile_log_slice(part, r[:part.size], num[:part.size])
+    return x
+
+
+def _quantile_log_slice(x: np.ndarray, r: np.ndarray, num: np.ndarray) -> None:
+    """std_normal_quantile_log of the 1-d array x, written over x; r and num
+    are scratch of x's length.
+
+    The minority branches' inputs are gathered first.  The majority branch
+    (central for maxima of a few draws, the upper tail for maxima of many)
+    then runs on the whole slice, and the gathered elements on their own
+    before they are scattered back.  Every element goes through the same
+    operations as under a three-way mask, so its value is the one that
+    mask would give.
+    """
+    low = x < _ACK_LOG_P_LOW
+    high = x > _ACK_LOG_P_HIGH
+    upper = 2 * np.count_nonzero(high) > x.size
+    whole, rest = (_upper_in_place, _central_in_place) if upper else \
+        (_central_in_place, _upper_in_place)
+    others = np.flatnonzero(~(low | high) if upper else high)
+    low = np.flatnonzero(low)
+    gathered, lower = x[others], x[low]
+    with np.errstate(all="ignore"):   # values of other branches, overwritten below
+        whole(x, r, num)
+    with np.errstate(divide="ignore"):
+        x[others] = rest(gathered, r[:others.size], num[:others.size])
+        x[low] = _lower_in_place(lower, r[:low.size], num[:low.size])
+
+
+def _central_in_place(lp: np.ndarray, r: np.ndarray, num: np.ndarray) -> np.ndarray:
+    """_acklam_central(exp(lp) - 0.5) over lp, in place; r and num are scratch."""
+    q = np.subtract(np.exp(lp, out=lp), 0.5, out=lp)
+    np.multiply(q, q, out=r)
+    _horner(_ACK_A, r, num)
+    num *= q
+    return np.divide(num, _horner((*_ACK_B, 1.0), r, q), out=q)
+
+
+def _upper_in_place(lp: np.ndarray, r: np.ndarray, num: np.ndarray) -> np.ndarray:
+    """The upper tail by symmetry, with 1 - p = -expm1(lp), over lp in place."""
+    np.log(np.negative(np.expm1(lp, out=lp), out=lp), out=lp)
+    return np.negative(_lower_in_place(lp, r, num), out=lp)
+
+
+def _lower_in_place(lp: np.ndarray, r: np.ndarray, num: np.ndarray) -> np.ndarray:
+    """_acklam_tail(sqrt(-2 lp)) over lp, in place; r and num are scratch."""
+    q = np.sqrt(np.multiply(lp, -2.0, out=lp), out=lp)
+    np.divide(1.0, q, out=r)
+    _horner(_ACK_C[::-1], r, num)
+    num *= q
+    return np.divide(num, _horner((1.0, *_ACK_D[::-1]), r, q), out=q)
+
+
+def _horner(coeffs: tuple, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(...(coeffs[0] * r + coeffs[1]) * r + ...) + coeffs[-1], written into out."""
+    np.multiply(coeffs[0], r, out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= r
+    out += coeffs[-1]
+    return out
 
 
 @dataclass(frozen=True)

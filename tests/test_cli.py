@@ -5,6 +5,7 @@ import io
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -481,6 +482,23 @@ class TestArgumentHandling:
     def test_bad_seed_flag(self, capsys):
         code, _, _ = run_cli(capsys, "calibrate", "--seed", "-5")
         assert code == EXIT_INPUT_ERROR
+
+    def test_the_shared_parser_survives_rejected_arguments(self, capsys, tmp_path):
+        """main() reuses one parser; after three rejected command lines the
+        next ones print their golden bytes.  The job is golden_cli.json's
+        uncapped p0 = 0.01 case (the demo job's q0, p0, n, prior and cap)."""
+        assert cli.build_parser() is cli.build_parser()
+        for argv in (["verify"], ["nonsense"], ["calibrate", "--seed", "-1"]):
+            assert main(argv) == EXIT_INPUT_ERROR
+        capsys.readouterr()
+        golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text("utf-8"))
+        job = write_job(tmp_path, p0=0.01, n=40, n_list=[40, 320, 2560, 20480, 163840, 1310720],
+                        cap_at_q0=False, trials=4000, seed=11)
+        for name, argv in (("calibrate", ["calibrate"]), ("schedule", ["schedule"]),
+                           ("paradox", ["simulate", "paradox"])):
+            code, out, err = run_cli(capsys, *argv, "--job", job)
+            expected = golden[f"{name}-n=40-p0=0.01-uncapped"]
+            assert {"code": code, "stdout": out, "stderr": err} == expected
 
 
 class TestJobFieldRejection:

@@ -20,10 +20,7 @@ from threshcal.gaussian import (
     _ACK_LOG_P_HIGH,
     _ACK_LOG_P_LOW,
     _MAX_COUNT,
-    _ARRAY_SLICE,
     SeededStream,
-    _quantile_log_in_place,
-    _quantile_log_slice,
     _require_count,
     _require_counts,
     _require_finite,
@@ -34,8 +31,13 @@ from threshcal.gaussian import (
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
-    std_normal_quantile_log,
     std_normal_sf,
+)
+from threshcal.paradox import (
+    _ARRAY_SLICE,
+    _quantile_log_in_place,
+    _quantile_log_slice,
+    std_normal_quantile_log,
 )
 
 # Working precision of the mpmath oracles, set inside each one so that no

@@ -34,7 +34,6 @@ from threshcal.gaussian import (
     integrate,
     log_std_normal_cdf,
     std_normal_quantile,
-    std_normal_quantile_log,
 )
 from threshcal.paradox import (
     _BLOCK_TRIALS,
@@ -53,6 +52,7 @@ from threshcal.paradox import (
     paradox_curve,
     simulate_compliance,
     simulate_minimal_effort,
+    std_normal_quantile_log,
 )
 
 DEMO = SafetySpec(q0=1.0, p0=0.01)
