@@ -261,12 +261,11 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
     _SETTLE_GRID_FACTOR times off its value on the initial grid: there
     the full quadrature can run out of budget (IntegrationError), and a
     probe that stopped early would hide that.
-    The value returned is the fsum over the panels, which differs from the
-    running totals stop saw by rounding, far inside the margin.  So a value
-    that settled lies strictly on the far side of its cut, and is only
-    good for that comparison; a value between the cuts (inclusive), and
-    every value on the side of a cut that is not a normal float (the cut
-    times D would lose its bits), runs to the full 1e-10.
+    A probe that settles returns only its side: math.inf above `above`,
+    -math.inf below `below`.  Every finite value has run to the full
+    1e-10: a value between the cuts (inclusive), and every value on the
+    side of a cut that is not a normal float (the cut times D would lose
+    its bits), never settles.
     """
     threshold = _require_finite("threshold", threshold)
     n = _require_count("n", n)
@@ -310,20 +309,23 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
     # below the smallest normal float, a cut times D underflows
     above = above if above is not None and above >= sys.float_info.min else math.inf
     below = below if below is not None and below >= sys.float_info.min else 0.0
-    stop = None
+    stop = settled = None   # settled: math.inf above `above`, -math.inf below `below`
     if above < math.inf or below > 0.0:
         grid = []   # N / D on the initial grid: integrate asks stop there first
 
         def stop(denom: float, numer: float, err_d: float, err_n: float) -> bool:
+            nonlocal settled
             if not grid:
                 grid.append(numer / denom if denom > 0.0 else 0.0)
             # N and D each within K error estimates of their running totals
             n_lo, n_hi = numer - _SETTLE_MARGIN * err_n, numer + _SETTLE_MARGIN * err_n
             d_lo, d_hi = denom - _SETTLE_MARGIN * err_d, denom + _SETTLE_MARGIN * err_d
-            return (conditionable(d_lo) and n_lo > 0.0
+            if (conditionable(d_lo) and n_lo > 0.0
                     and (n_lo > above * d_hi or n_hi < below * d_lo)
                     and grid[0] / _SETTLE_GRID_FACTOR <= numer / denom
-                    <= _SETTLE_GRID_FACTOR * grid[0])
+                    <= _SETTLE_GRID_FACTOR * grid[0]):
+                settled = math.inf if n_lo > above * d_hi else -math.inf
+            return settled is not None
 
     failure = None
     try:
@@ -339,7 +341,7 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
             f"probability under the prior [{prior.sigma_lo}, {prior.sigma_hi}]")
     if failure is not None:
         raise failure
-    return numer / denom
+    return numer / denom if settled is None else settled
 
 
 def acceptance_probability(sigma_true: float, threshold: float, n: int) -> float:
@@ -380,13 +382,16 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     above p0 - tol ends the search and is published; with p0 <= tol every
     feasible midpoint does, so it has no lower cut); a capped row's probe at
     q0 has only the upper cut p0, since a value at or below it is published.
-    A feasible value below its lower cut is provisional: a row that does
-    not stop on tol publishes lo's value from one more call at full
-    tolerance, bit-identical to a probe that never settled.  That the
-    margin keeps every comparison, and every quadrature failure, the one a
-    full-tolerance probe would make is shown by TestSettledProbes'
-    differential property, not proven; where a provisional value turns out
-    above p0 at full tolerance, SolverError is raised.
+    A probe that settles returns only its side (math.inf or -math.inf), and
+    every finite value it returns has run to full tolerance.  So a row
+    publishes lo's probe value where it is finite, and asks for one more
+    call at full tolerance only where lo has no final value: lo settled
+    below its lower cut, or q0 was taken as feasible past an
+    InfeasibleConditioningError.  That the margin keeps every comparison,
+    and every quadrature failure, the one a full-tolerance probe would make
+    is shown by TestSettledProbes' differential property, not proven; where
+    a settled lo turns out above p0 at full tolerance, SolverError is
+    raised.
 
     warm_start saves doubling calls: its doubling points q0 * 2^j are taken
     as feasible at n unevaluated, so it is q0 just shown feasible at n or
@@ -421,22 +426,24 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             "the exceedance constraint holds at every threshold under this point "
             "prior; there is no finite uncapped solution (enable cap_at_q0)")
 
-    lo, ce_q0, doublings, warm = spec.q0, None, 0, False
+    # ce_lo is the exceedance at lo: None at a warm-start point, which is not
+    # evaluated, and -inf where lo is taken as feasible without a final value
+    lo, ce_lo, doublings = spec.q0, None, 0
     if cap_at_q0 or warm_start is None or not warm_start >= spec.q0:
         try:
-            ce_q0 = conditional_exceedance(spec, spec.q0, n, prior, above=spec.p0,
+            ce_lo = conditional_exceedance(spec, spec.q0, n, prior, above=spec.p0,
                                            below=None if cap_at_q0 else spec.p0)
         except InfeasibleConditioningError:
             if cap_at_q0:
                 raise
-        if cap_at_q0 and ce_q0 <= spec.p0:
-            return capped(ce_q0)
+            ce_lo = -math.inf   # q0 is taken as feasible, and the doubling goes on
+        if cap_at_q0 and ce_lo <= spec.p0:
+            return capped(ce_lo)
     else:
         # the doubling points up to warm_start are known feasible
-        warm = True
         while doublings < _MAX_EXPANSIONS and 2.0 * lo <= warm_start:
             lo, doublings = 2.0 * lo, doublings + 1
-    if ce_q0 is None or ce_q0 <= spec.p0:
+    if ce_lo is None or ce_lo <= spec.p0:
         hi = None
         trial = 2.0 * lo
         for _ in range(_MAX_EXPANSIONS - doublings):
@@ -447,7 +454,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             if ce_trial > spec.p0:
                 hi = trial
                 break
-            lo, warm = trial, False
+            lo, ce_lo = trial, ce_trial
             trial *= 2.0
         if hi is None:
             raise UnboundedSolutionError(
@@ -464,7 +471,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             except InfeasibleConditioningError:
                 break
             if ce_trial <= spec.p0:
-                lo = trial
+                lo, ce_lo = trial, ce_trial
                 break
             hi = trial
             trial *= 0.5
@@ -479,7 +486,6 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     cut = spec.p0 - tol if spec.p0 > tol else None
     iterations = 0
     stop_reason = "resolution"
-    achieved = None
     while hi - lo > resolution:
         if iterations == _MAX_BISECTIONS:
             stop_reason = "bisection_cap"
@@ -492,16 +498,15 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
         if ce_mid > spec.p0:
             hi = mid
             continue
-        lo, warm = mid, False
+        lo, ce_lo = mid, ce_mid
         if cut is None or ce_mid >= cut:
-            achieved, stop_reason = ce_mid, "tol"
+            stop_reason = "tol"
             break
-    if achieved is None:
-        # lo is a warm-start point taken as feasible unevaluated, or a probe
-        # that may have settled below its cut: publish its full value
+    achieved = ce_lo
+    if ce_lo is None or ce_lo == -math.inf:
         achieved = conditional_exceedance(spec, lo, n, prior)
         if achieved > spec.p0:
-            if warm:
+            if ce_lo is None:
                 return calibrate_threshold(spec, n, prior, cap_at_q0=False, tol=tol)
             raise SolverError(
                 f"the probe at threshold {lo} settled at most p0 = {spec.p0}, "

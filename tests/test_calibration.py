@@ -3,7 +3,9 @@
 Oracles used here are independent of the implementation path:
 
 * mpmath quadrature of the posterior-predictive integrals at 30 digits
-  (the implementation uses its own float GK15 engine and erfc branches);
+  (the implementation uses its own float GK15 engine and erfc branches),
+  on uniform panels over a narrow prior, and over any prior on panels
+  placed where the integrands live (tests/bump_oracle.py);
 * a self-contained numpy rejection-sampling simulation (draw a scale from
   the prior, draw the sample, keep runs whose maximum clears the threshold,
   look at the extra draw);
@@ -15,6 +17,7 @@ import pickle
 import sys
 from fractions import Fraction
 
+import bump_oracle
 import mpmath
 import numpy as np
 import pytest
@@ -160,10 +163,20 @@ class TestConditionalExceedance:
         val = conditional_exceedance(DEMO, 0.5, 40, DEMO_PRIOR)
         assert 0.0 < val < marginal_exceedance(DEMO, 10.0)
 
+    # (q0, threshold, n, sigma_lo, sigma_hi) on priors 60 to 600 decades wide;
+    # 17 uniform panels over the first miss its value by 15%
+    WIDE_PRIOR_POINTS = [(1.0, 0.5, 2**20, 1e-300, 1e300), (1.0, 3.0, 40, 1e-200, 1e50),
+                         (1e100, 2e100, 1000, 1e-200, 1e200)]
+
     def test_against_mpmath_oracle(self):
         for threshold, n in [(1.0, 40), (0.5, 40), (2.0, 160)]:
             expected = mp_conditional_exceedance(1.0, threshold, n, 0.01, 10.0)
             got = conditional_exceedance(DEMO, threshold, n, DEMO_PRIOR)
+            assert got == pytest.approx(expected, rel=1e-6)
+        for q0, threshold, n, sigma_lo, sigma_hi in self.WIDE_PRIOR_POINTS:
+            expected = bump_oracle.conditional_exceedance(q0, threshold, n, sigma_lo, sigma_hi)
+            got = conditional_exceedance(SafetySpec(q0=q0, p0=0.01), threshold, n,
+                                         SigmaPrior.log_uniform(sigma_lo, sigma_hi))
             assert got == pytest.approx(expected, rel=1e-6)
 
     def test_decreasing_in_n(self):
@@ -594,10 +607,33 @@ class TestSettledProbes:
         assert result.achieved.hex() == full.achieved.hex()
         settled = conditional_exceedance(DEMO, result.threshold, 40, DEMO_PRIOR,
                                          above=DEMO.p0, below=DEMO.p0 - 1e-4)
-        assert settled < DEMO.p0 - 1e-4 and settled != result.achieved
+        assert settled == -math.inf
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-9, 1e-15])
+    @pytest.mark.parametrize("cap", [True, False])
+    @pytest.mark.parametrize("p0", [1e-2, 1e-3, 1e-5])
+    def test_a_final_value_is_not_probed_again(self, monkeypatch, p0, cap, tol):
+        # a finite probe value is final, so no row (each has its own count)
+        # integrates that threshold a second time, not even to publish it
+        real = calibration.conditional_exceedance
+        final, repeated = set(), set()
+
+        def recording(spec, threshold, n, prior, **cuts):
+            if (threshold, n) in final:
+                repeated.add(n)
+            value = real(spec, threshold, n, prior, **cuts)
+            if math.isfinite(value):
+                final.add((threshold, n))
+            return value
+
+        monkeypatch.setattr(calibration, "conditional_exceedance", recording)
+        counts = [40, 80, 160, 320, 640, 1280]
+        rows = calibrate_schedule(SafetySpec(q0=1.0, p0=p0), DEMO_PRIOR, counts,
+                                  cap_at_q0=cap, tol=tol)[1]
+        assert len(rows) == len(counts) and repeated == set()
 
     @pytest.mark.parametrize("cap, n, p0, warm_start, runs", [
-        (False, 40, 0.01, None, 1),   # doubling, then bisection to resolution
+        (False, 40, 0.01, None, 1),   # doubling, then a midpoint that settles
         (False, 80, 0.01, 1.0, 1),    # warm-started at q0, lo moved by a probe
         (False, 40, 0.01, 1e6, 2),    # lo stays the warm point: one cold rerun
         (True, 80, 1e-5, None, 1),    # capped, halving below an infeasible q0
@@ -605,7 +641,10 @@ class TestSettledProbes:
     def test_a_contradicted_settled_probe_raises(self, monkeypatch, cap, n, p0,
                                                  warm_start, runs):
         # every probe runs as it would, but lo's full-tolerance value, asked
-        # for at the end of the row, lands above p0
+        # for at the end of the row, lands above p0; one bisection step ends
+        # each row with lo settled below its cut or a warm point, never a
+        # final value, which would not be asked for again
+        monkeypatch.setattr(calibration, "_MAX_BISECTIONS", 1)
         spec = SafetySpec(q0=1.0, p0=p0)
         real_ce, real_calibrate = calibration.conditional_exceedance, calibrate_threshold
         calls = []
@@ -647,9 +686,13 @@ class TestSettledProbes:
         if near is not None:
             cut = full * (1.0 + near)
         settled = conditional_exceedance(DEMO, threshold, n, DEMO_PRIOR, **{side: cut})
-        assert (settled > cut, settled < cut) == (full > cut, full < cut)
-        if (full <= cut if side == "above" else full >= cut) or cut < sys.float_info.min:
-            assert settled == full
+        # a settled probe returns only its side, and a finite value is final
+        if math.isfinite(settled):
+            assert settled.hex() == full.hex()
+        elif side == "above":
+            assert settled == math.inf and full > cut >= sys.float_info.min
+        else:
+            assert settled == -math.inf and full < cut and cut >= sys.float_info.min
 
     @pytest.mark.parametrize("n", [2000, 20000])
     @pytest.mark.parametrize("sigma_lo, sigma_hi", [(0.5, 5.0), (0.4, 1.0)])
@@ -699,6 +742,83 @@ class TestSettledProbes:
         full, full_rows = self._evaluations(monkeypatch, math.inf)
         assert rows == full_rows
         assert settled < 0.8 * full
+
+
+# the job fields a job file accepts, log-uniform over their whole range
+JOB_Q0 = st.floats(-307.0, 308.0).map(lambda e: 10.0 ** e)
+JOB_P0 = st.floats(math.log10(sys.float_info.min), math.log10(0.5),
+                   exclude_max=True).map(lambda e: 10.0 ** e)
+JOB_SIGMA = st.floats(math.log10(6e-309), 308.0).map(lambda e: 10.0 ** e)
+JOB_TOL = st.floats(-15.0, math.log10(0.4)).map(lambda e: 10.0 ** e)
+# the errors the command line maps to its documented exit codes
+DOCUMENTED_ERRORS = (DomainError, InfeasibilityError, InfeasibleConditioningError,
+                     IntegrationError, SolverError)
+
+
+class TestPromiseOverTheJobRange:
+    """Every published row keeps its promise, by an oracle that first locates
+    the integrands and then integrates there with mpmath, so it does not
+    share a uniform grid's blind spot on a prior hundreds of decades wide."""
+
+    # (q0, threshold, n, sigma_lo, sigma_hi, value): probes whose numerator
+    # falls between the library's initial nodes, valued by mpmath over a
+    # hand-placed bump
+    REFERENCES = [
+        (1.7e308, 1.0625e307, 1820, 3.5e10, 1e308, 8.06431508569297e-181),
+        (7.479403722609009e-196, 7.479403722609009e-196 / 4, 807051,
+         2.684980109437552e-197, 7.97304619507821e268, 5.69236832648602e-69),
+        (237.78851830727578, 237.78851830727578 / 8, 873402,
+         8.555287478608488e-49, 1.2234461400584793e+30, 1.95799147768221e-234),
+    ]
+
+    def test_oracle_reproduces_wide_prior_references(self):
+        for *job, value in self.REFERENCES:
+            assert bump_oracle.conditional_exceedance(*job) == pytest.approx(value, rel=1e-12)
+        for threshold, n in [(1.0, 40), (0.5, 40), (2.0, 160)]:
+            assert bump_oracle.conditional_exceedance(1.0, threshold, n, 0.01, 10.0) == \
+                pytest.approx(mp_conditional_exceedance(1.0, threshold, n, 0.01, 10.0), rel=1e-12)
+
+    # 19 published rows a run, each checked in 0.1-0.6 s; derandomized, so
+    # that the suite stays reproducible while the violation pinned below stands
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(q0=JOB_Q0, p0=JOB_P0, ends=st.tuples(JOB_SIGMA, JOB_SIGMA),
+           counts=st.sets(st.integers(1, 2**20), min_size=1, max_size=2).map(sorted),
+           cap=st.booleans(), tol=JOB_TOL)
+    # the jobs whose probes REFERENCES holds: today each runs one probe's
+    # quadrature out of budget (IntegrationError)
+    @example(q0=1.7e308, p0=1e-200, ends=(3.5e10, 1e308), counts=[1820], cap=False, tol=1e-4)
+    @example(q0=7.479403722609009e-196, p0=6.488583800185976e-158,
+             ends=(2.684980109437552e-197, 7.97304619507821e268), counts=[807051], cap=True,
+             tol=1e-4)
+    @example(q0=237.78851830727578, p0=6.217995042921271e-90,
+             ends=(8.555287478608488e-49, 1.2234461400584793e+30), counts=[873402], cap=False,
+             tol=6.217995042921271e-90)
+    def test_every_published_row_keeps_its_promise(self, q0, p0, ends, counts, cap, tol):
+        sigma_lo, sigma_hi = sorted(ends)
+        try:
+            spec = SafetySpec(q0=q0, p0=p0)
+            prior = SigmaPrior.log_uniform(sigma_lo, sigma_hi)
+            rows = calibrate_schedule(spec, prior, counts, cap_at_q0=cap, tol=tol)[1]
+        except DOCUMENTED_ERRORS:
+            return
+        for n, row in zip(counts, rows):
+            ce = bump_oracle.conditional_exceedance(q0, row.threshold, n, sigma_lo, sigma_hi)
+            assert ce is not None and ce <= p0 * (1.0 + 1e-6), (n, row, ce)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect: every node of the probe's quadrature misses the numerator, which "
+        "reads 0.0, so a threshold whose exceedance is 1.5e-178, 4e75 times p0, is published"))
+    def test_a_numerator_between_the_nodes_breaks_the_promise(self):
+        # found by a random sweep of this property's job range: the
+        # numerator's bump, about 0.05 wide in ln(sigma) where q0 / sigma is
+        # near 26, falls between the nodes of a prior 900 decades wide
+        q0, p0, n = 1.4199607666551786e-115, 3.6174424187935006e-254, 209411
+        sigma_lo, sigma_hi = 1.1185987149720425e-266, 7.790917063277676e+132
+        row = calibrate_threshold(SafetySpec(q0=q0, p0=p0), n,
+                                  SigmaPrior.log_uniform(sigma_lo, sigma_hi),
+                                  tol=3.963995337198601e-10)
+        ce = bump_oracle.conditional_exceedance(q0, row.threshold, n, sigma_lo, sigma_hi)
+        assert ce <= p0 * (1.0 + 1e-6), (row, ce)
 
 
 class TestThresholdSchedule:

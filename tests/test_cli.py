@@ -151,9 +151,10 @@ class TestCalibrateCommand:
         assert thresholds.count(1.0) == 1
 
     def test_contradicted_settled_probe_exits_2(self, capsys, monkeypatch, tmp_path):
-        # the uncapped root's bisection ends on resolution, so its lo's value
-        # is asked for at full tolerance; patched to land above p0, that is a
-        # failed search (exit 2), not a root at infinity
+        # one bisection step leaves the uncapped root's lo settled below its
+        # cut, so its value is asked for at full tolerance; patched to land
+        # above p0, that is a failed search (exit 2), not a root at infinity
+        monkeypatch.setattr(calibration, "_MAX_BISECTIONS", 1)
         real = calibration.conditional_exceedance
 
         def contradicting(spec, threshold, n, prior, **cuts):
