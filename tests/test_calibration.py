@@ -779,7 +779,7 @@ class TestPromiseOverTheJobRange:
                 pytest.approx(mp_conditional_exceedance(1.0, threshold, n, 0.01, 10.0), rel=1e-12)
 
     # 19 published rows a run, each checked in 0.1-0.6 s; derandomized, so
-    # that the suite stays reproducible while the violation pinned below stands
+    # that the suite stays reproducible while the violations pinned below stand
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(q0=JOB_Q0, p0=JOB_P0, ends=st.tuples(JOB_SIGMA, JOB_SIGMA),
            counts=st.sets(st.integers(1, 2**20), min_size=1, max_size=2).map(sorted),
@@ -806,18 +806,24 @@ class TestPromiseOverTheJobRange:
             assert ce is not None and ce <= p0 * (1.0 + 1e-6), (n, row, ce)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known defect: every node of the probe's quadrature misses the numerator, which "
-        "reads 0.0, so a threshold whose exceedance is 1.5e-178, 4e75 times p0, is published"))
-    def test_a_numerator_between_the_nodes_breaks_the_promise(self):
-        # found by a random sweep of this property's job range: the
-        # numerator's bump, about 0.05 wide in ln(sigma) where q0 / sigma is
-        # near 26, falls between the nodes of a prior 900 decades wide
-        q0, p0, n = 1.4199607666551786e-115, 3.6174424187935006e-254, 209411
-        sigma_lo, sigma_hi = 1.1185987149720425e-266, 7.790917063277676e+132
-        row = calibrate_threshold(SafetySpec(q0=q0, p0=p0), n,
-                                  SigmaPrior.log_uniform(sigma_lo, sigma_hi),
-                                  tol=3.963995337198601e-10)
-        ce = bump_oracle.conditional_exceedance(q0, row.threshold, n, sigma_lo, sigma_hi)
+        "known defect: no node of the published probe's quadrature sees the numerator, "
+        "which reads 0.0, so a threshold whose exceedance is above p0 is published"))
+    @pytest.mark.parametrize("q0, p0, n, ends, tol", [
+        # the numerator's bump, about 0.05 wide in ln(sigma) where q0 / sigma
+        # is near 26, falls between the nodes of a prior 900 decades wide:
+        # the exceedance is 1.5e-178, 4e75 times p0
+        (1.4199607666551786e-115, 3.6174424187935006e-254, 209411,
+         (1.1185987149720425e-266, 7.790917063277676e+132), 3.963995337198601e-10),
+        # the numerator lives within 0.01 of the prior's upper end, where
+        # q0 / sigma = 31.6, and 1 - Phi underflows at every node nearer
+        # the middle: the exceedance is 2.45e-225, 2.45 times p0
+        (1.0, 1e-225, 1, (1e-160, 10.0 ** -1.5), 0.1),
+    ])
+    def test_a_numerator_between_the_nodes_breaks_the_promise(self, q0, p0, n, ends, tol):
+        # found by random runs of the property above
+        row = calibrate_threshold(SafetySpec(q0=q0, p0=p0), n, SigmaPrior.log_uniform(*ends),
+                                  tol=tol)
+        ce = bump_oracle.conditional_exceedance(q0, row.threshold, n, *ends)
         assert ce <= p0 * (1.0 + 1e-6), (row, ce)
 
 
