@@ -427,8 +427,9 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             "prior; there is no finite uncapped solution (enable cap_at_q0)")
 
     # ce_lo is the exceedance at lo: None at a warm-start point, which is not
-    # evaluated, and -inf where lo is taken as feasible without a final value
-    lo, ce_lo, doublings = spec.q0, None, 0
+    # evaluated, and -inf where lo is taken as feasible without a final value;
+    # steps counts the doublings from q0, or the halvings
+    lo, ce_lo, hi, steps = spec.q0, None, None, 0
     if cap_at_q0 or warm_start is None or not warm_start >= spec.q0:
         try:
             ce_lo = conditional_exceedance(spec, spec.q0, n, prior, above=spec.p0,
@@ -439,47 +440,40 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             ce_lo = -math.inf   # q0 is taken as feasible, and the doubling goes on
         if cap_at_q0 and ce_lo <= spec.p0:
             return capped(ce_lo)
+        if ce_lo > spec.p0:
+            lo, hi = None, spec.q0
     else:
         # the doubling points up to warm_start are known feasible
-        while doublings < _MAX_EXPANSIONS and 2.0 * lo <= warm_start:
-            lo, doublings = 2.0 * lo, doublings + 1
-    if ce_lo is None or ce_lo <= spec.p0:
-        hi = None
-        trial = 2.0 * lo
-        for _ in range(_MAX_EXPANSIONS - doublings):
-            if trial == math.inf:   # the doubling overflowed: no larger threshold
-                break
+        while steps < _MAX_EXPANSIONS and 2.0 * lo <= warm_start:
+            lo, steps = 2.0 * lo, steps + 1
+    # double the feasible end until a probe is infeasible, or halve the
+    # infeasible one until a probe is feasible
+    limit = _MAX_EXPANSIONS if hi is None else _MAX_CONTRACTIONS
+    while (lo is None or hi is None) and steps < limit:
+        trial = 2.0 * lo if hi is None else 0.5 * hi
+        if trial == math.inf:   # the doubling overflowed: no larger threshold
+            break
+        try:
             ce_trial = conditional_exceedance(spec, trial, n, prior,
                                               above=spec.p0, below=spec.p0)
-            if ce_trial > spec.p0:
-                hi = trial
-                break
-            lo, ce_lo = trial, ce_trial
-            trial *= 2.0
-        if hi is None:
-            raise UnboundedSolutionError(
-                f"bracket expansion failed: conditional exceedance stayed below "
-                f"p0 = {spec.p0} up to threshold {lo}")
-    else:
-        hi = spec.q0
-        lo = None
-        trial = 0.5 * spec.q0
-        for _ in range(_MAX_CONTRACTIONS):
-            try:
-                ce_trial = conditional_exceedance(spec, trial, n, prior,
-                                                  above=spec.p0, below=spec.p0)
-            except InfeasibleConditioningError:
-                break
-            if ce_trial <= spec.p0:
-                lo, ce_lo = trial, ce_trial
-                break
+        except InfeasibleConditioningError:
+            if hi is None:
+                raise
+            break   # no threshold below a halving probe can be conditioned on
+        steps += 1
+        if ce_trial > spec.p0:
             hi = trial
-            trial *= 0.5
-        if lo is None:
-            raise InfeasibilityError(
-                f"conditional exceedance stays above p0 = {spec.p0} "
-                f"for every threshold below q0 = {spec.q0}; prior mass up to "
-                f"sigma_hi = {prior.sigma_hi} is too heavy for n = {n}")
+        else:
+            lo, ce_lo = trial, ce_trial
+    if hi is None:
+        raise UnboundedSolutionError(
+            f"bracket expansion failed: conditional exceedance stayed below "
+            f"p0 = {spec.p0} up to threshold {lo}")
+    if lo is None:
+        raise InfeasibilityError(
+            f"conditional exceedance stays above p0 = {spec.p0} "
+            f"for every threshold below q0 = {spec.q0}; prior mass up to "
+            f"sigma_hi = {prior.sigma_hi} is too heavy for n = {n}")
 
     # a feasible midpoint at or above cut ends the search and is published;
     # with p0 <= tol every feasible midpoint does, so none may settle

@@ -25,6 +25,12 @@ Defaults: q0 = 1, p0 = 0.01, n = 40, n_list doubles from n to 16 n, the
 prior is log-uniform on [q0/100, 10 q0], cap_at_q0 = true, tol = 1e-4,
 trials = 100000, seed = 0.  Command-line flags override file fields.
 
+A capped schedule is the fixed bar q0 at every count where it is capped.
+tol is an absolute probability, so with p0 <= tol every feasible
+bisection midpoint ends the search: at p0 = 1e-6, n' = 80 the default
+tol publishes 0.375 (exceedance 0.015 p0) where the root is 0.499.  A
+tol of about 1e-3 p0 avoids that: 1e-9 there publishes 0.49908 (0.9992 p0).
+
 All randomness flows from the single job seed through fixed stream indices:
 verify uses stream 1 (one child per schedule row), simulate minimal_effort
 stream 2, simulate paradox stream 3 (one child per n_list row, whose one

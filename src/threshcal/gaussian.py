@@ -412,7 +412,7 @@ class SeededStream:
     The same (seed, stream_index) always yields the same draw sequence;
     distinct stream indices yield statistically independent sequences.
     Monte Carlo code derives per-row and per-block substreams through
-    child()/generator paths.
+    child() paths.
     """
 
     seed: int
@@ -431,8 +431,8 @@ class SeededStream:
         """Substream address extended by the given derivation path."""
         return SeededStream(self.seed, self.stream_index, self.path + path)
 
-    def generator(self, *path: int) -> np.random.Generator:
-        """Generator for this stream, or a derived substream.
+    def generator(self) -> np.random.Generator:
+        """Generator for this stream; child(*path).generator() for a substream.
 
         SeedSequence(seed, spawn_key=(stream_index, *path)) hashes the
         address into SFC64's state, so distinct addresses get independent
@@ -444,7 +444,6 @@ class SeededStream:
         import numpy as np   # only here, so that calibration loads without numpy
 
         key = np.random.SeedSequence(entropy=int(self.seed),
-                                     spawn_key=(int(self.stream_index), *self.path,
-                                                *(_require_index("path entry", p) for p in path)))
+                                     spawn_key=(int(self.stream_index), *self.path))
         return np.random.Generator(np.random.SFC64(key))
 

@@ -32,7 +32,7 @@ with that undecided share of its trials, not with all of them.
 Every simulated trial costs a fixed number of draws whatever the count.
 One driver, _map_blocks, runs every simulated kernel over a fixed plan of
 _BLOCK_TRIALS-trial blocks, its trials lying cell after cell (the screen's
-cells of ln sigma, or one cell): block b draws from stream.generator(b)
+cells of ln sigma, or one cell): block b draws from stream.child(b).generator()
 and reduces to integer counts or to float sums that depend only on the
 block's own values.  The blocks run one after another, in block order,
 and their results are combined in that order, so the result is
@@ -252,23 +252,23 @@ def _binomial_report(successes: int, trials: int, accepted_runs: int) -> Simulat
 
 def _map_blocks(stream: SeededStream, counts: Sequence[int],
                 block_fn: Callable[[np.random.Generator, np.ndarray, int], tuple]) -> list[tuple]:
-    """block_fn(stream.generator(b), block counts, size) for every block b, in order.
+    """block_fn(stream.child(b).generator(), block counts, size) for each block b in order.
 
     The sum(counts) trials lie cell after cell, counts[k] of them in cell
     k, and run in blocks of _BLOCK_TRIALS, the last holding the remainder.
     A block's counts are how many of its size trials each cell holds; a
     kernel without cells passes one cell, [trials].
 
-    Block b's generator, stream.generator(b), is made just before the
-    block runs.
+    Block b's generator, stream.child(b).generator(), is made just before
+    the block runs.
     """
     bounds = np.concatenate(([0], np.cumsum(counts)))
     total = int(bounds[-1])
     results = []
     for b, start in enumerate(range(0, total, _BLOCK_TRIALS)):
         stop = min(start + _BLOCK_TRIALS, total)
-        results.append(block_fn(stream.generator(b), np.diff(np.clip(bounds, start, stop)),
-                                stop - start))
+        results.append(block_fn(stream.child(b).generator(),
+                                np.diff(np.clip(bounds, start, stop)), stop - start))
     return results
 
 

@@ -285,6 +285,16 @@ class TestVerifyCommand:
         assert "3199936 needed" in err
         assert "0/5 rows passed" in err
 
+    def test_never_accepting_row_fails(self, capsys, tmp_path):
+        # the event max <= -30 of 40 draws is too rare to condition on,
+        # so the row's conditioning event never accepts: nan, and it fails
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_text("n_prime,threshold\n40,-30\n")
+        code, out, err = run_cli(capsys, "verify", "--schedule", str(schedule))
+        assert code == EXIT_VERIFY_FAILED
+        assert out.splitlines()[1:] == ["40,-30,nan,nan,0,false"]
+        assert "0/1 rows passed" in err and "Traceback" not in err
+
     def test_empty_schedule_is_input_error(self, capsys, tmp_path):
         job = write_job(tmp_path)
         empty = tmp_path / "empty.csv"
@@ -523,10 +533,12 @@ class TestJobFieldRejection:
         ({"trials": 10**400}, (), "trials must be at most 2**36"),
         ({}, ("--trials", "100000000000000000000"), "trials must be at most 2**36"),
         ({"n_list": [40, 2**36 + 1]}, (), "n_list entry must be at most 2**36"),
+        ({"tol": 1.5}, (), "tol must lie in (0, 1), got 1.5"),
+        ({"prior": 3}, (), "prior must be an object"),
     ], ids=["n-float", "n-zero", "q0-string", "q0-huge", "tol-bool", "tol-huge",
             "seed-negative", "seed-float", "trials-zero", "n_list-repeated", "n_list-empty",
             "seed-flag", "trials-flag", "n-huge", "trials-huge", "trials-flag-huge",
-            "n_list-huge"])
+            "n_list-huge", "tol-above-one", "prior-number"])
     def test_rejected_as_input_error(self, capsys, tmp_path, fields, flags, message):
         path = write_job(tmp_path, **fields)
         code, out, err = run_cli(capsys, "calibrate", "--job", path, *flags)
@@ -576,6 +588,12 @@ class TestUnreadableInputs:
         self._assert_input_error(capsys, "verify", "--schedule", str(schedule),
                                  message="cannot read schedule file")
 
+    def test_job_file_that_is_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text("[]")
+        self._assert_input_error(capsys, "calibrate", "--job", str(path),
+                                 message="job file must hold a JSON object, got list")
+
     def test_job_integer_past_the_digit_limit(self, capsys, tmp_path):
         path = tmp_path / "job.json"
         path.write_text('{"n": ' + "1" * 5000 + "}")
@@ -598,6 +616,12 @@ class TestUnreadableInputs:
         schedule.write_text("n_prime,threshold\n" + rows)
         self._assert_input_error(capsys, "verify", "--schedule", str(schedule),
                                  message=message)
+
+    def test_schedule_row_with_a_missing_field(self, capsys, tmp_path):
+        schedule = tmp_path / "schedule.csv"
+        schedule.write_text("n_prime,threshold\n40,1\n80\n")
+        self._assert_input_error(capsys, "verify", "--schedule", str(schedule),
+                                 message="schedule row has 1 fields, expected 2: 80")
 
     @pytest.mark.parametrize("rows", [
         "4_0,1.0\n", "40,1_2.5\n", "٤٠,1\n", "40,١.5\n",

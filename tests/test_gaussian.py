@@ -554,7 +554,7 @@ class TestSeededStream:
     def test_derived_paths_differ_from_root(self):
         s = SeededStream(seed=7, stream_index=0)
         root = s.generator().standard_normal(8)
-        sub = s.generator(0).standard_normal(8)
+        sub = s.child(0).generator().standard_normal(8)
         assert not np.array_equal(root, sub)
 
     @pytest.mark.parametrize("seed,index", [(-1, 0), (2**64, 0), (0, -1), (1.5, 0), (0, 0.5)])
@@ -568,7 +568,7 @@ class TestSeededStream:
         stream = SeededStream(seed=3, stream_index=1)
         message = "path entry must be >= 0" if entry == -1 else "path entry must be an integer"
         for make in (lambda: SeededStream(3, 1, (entry,)), lambda: stream.child(entry),
-                     lambda: stream.generator(entry), lambda: stream.child(0).generator(entry)):
+                     lambda: stream.child(0).child(entry)):
             with pytest.raises(DomainError, match=message):
                 make()
 
@@ -581,7 +581,7 @@ class TestStreamContract:
         (91, 1, (np.int64(4),), (np.uint8(1), 2)),
     ])
     def test_generator_is_sfc64_on_the_spawn_key(self, seed, index, path, sub):
-        rng = SeededStream(seed, index, path).generator(*sub)
+        rng = SeededStream(seed, index, path).child(*sub).generator()
         key = np.random.SeedSequence(seed, spawn_key=(index, *path, *sub))
         by_hand = np.random.Generator(np.random.SFC64(key))
         assert isinstance(rng.bit_generator, np.random.SFC64)
@@ -591,7 +591,7 @@ class TestStreamContract:
 
     def test_blocks_of_one_stream_are_uncorrelated(self):
         stream = SeededStream(seed=5, stream_index=1).child(3)
-        u = np.array([stream.generator(b).random(4096) for b in range(64)])
+        u = np.array([stream.child(b).generator().random(4096) for b in range(64)])
         assert np.unique(u[:, 0]).size == 64
         corr = np.corrcoef(u)
         off_diagonal = corr[~np.eye(64, dtype=bool)]

@@ -236,7 +236,7 @@ def verify_row_by_recipe(threshold, n, prior, trials, stream, block_trials):
     cells_of = np.repeat(np.arange(cells), undecided)
     for b, start in enumerate(range(0, cells_of.size, block_trials)):
         cell = cells_of[start:start + block_trials]
-        gen = stream.child(0).generator(b)
+        gen = stream.child(0, b).generator()
         # ln U from the exponential law truncated to (low, top]
         log_u = np.log1p(gen.random(cell.size) * -(-np.expm1(low[cell] - top[cell]))) + top[cell]
         peak = std_normal_quantile_log(log_u / n)
@@ -248,7 +248,7 @@ def verify_row_by_recipe(threshold, n, prior, trials, stream, block_trials):
     cells_of = np.repeat(np.arange(cells), maybe)
     for b, start in enumerate(range(0, cells_of.size, block_trials)):
         cell = cells_of[start:start + block_trials]
-        gen = stream.child(1).generator(b)
+        gen = stream.child(1, b).generator()
         sigma = scales(gen, cell)
         v = gen.random(cell.size) * (s_hi - s_lo)[cell] + s_lo[cell]
         exceed += sum(x < marginal_exceedance(DEMO, s) for x, s in zip(v, sigma.tolist()))
@@ -414,7 +414,7 @@ def unscreened(threshold, n, prior, stream):
     from the prior, the quantile test and a normal extra draw."""
     kept = exceed = 0
     for block, size in enumerate(SCREEN_PLAN):
-        gen = stream.generator(block)
+        gen = stream.child(block).generator()
         if prior.kind == "point":
             sigma = np.full(size, prior.sigma_lo)
         else:
@@ -656,7 +656,8 @@ class TestExpectedMax:
         # block b draws one ln U per trial and sums the maxima it maps to
         sums, squares = [], []
         for block, size in enumerate([_BLOCK_TRIALS, 5]):
-            m = std_normal_quantile_log(-stream.generator(block).standard_exponential(size) / 100)
+            draws = stream.child(block).generator().standard_exponential(size)
+            m = std_normal_quantile_log(-draws / 100)
             sums.append(np.sum(m))
             squares.append(np.sum(m * m))
         mean = math.fsum(sums) / trials
@@ -828,7 +829,7 @@ class _BlockFailure(Exception):
 
 def block_index(stream, blocks=PLAN_BLOCKS):
     """Block index by the first draw of the block's generator."""
-    return {stream.generator(b).random(): b for b in range(blocks)}
+    return {stream.child(b).generator().random(): b for b in range(blocks)}
 
 
 class TestWorkerCountInvariance:
@@ -865,7 +866,7 @@ class TestWorkerCountInvariance:
                 for cell, count in enumerate(block_counts) for _ in range(count)] == [
             cell for cell, count in enumerate(counts) for _ in range(count)]
         assert [draw for draw, _, _ in parts] == [
-            stream.generator(b).random() for b in range(len(parts))]
+            stream.child(b).generator().random() for b in range(len(parts))]
 
     @pytest.mark.parametrize("full_blocks", [1, 2, 3])
     @pytest.mark.parametrize("failing", [(1,), (1, 2), (1, 3)])
@@ -895,9 +896,9 @@ class TestBlockPlan:
         calls = []
         make_generator = SeededStream.generator
 
-        def generator(stream, *path):
-            calls.append((stream.path, path))
-            return make_generator(stream, *path)
+        def generator(stream):
+            calls.append(stream.path)
+            return make_generator(stream)
 
         monkeypatch.setattr(SeededStream, "generator", generator)
         every_entry_point(wide_rule)
@@ -908,10 +909,10 @@ class TestBlockPlan:
         # stream.child(1); expected-max runs the block plan
         plan = [(b,) for b in range(PLAN_BLOCKS)]
         verify = calls[6:-len(plan)]
-        undecided = sum(row == (0,) for row, _ in verify)
+        undecided = sum(path[:1] == (0,) for path in verify)
         maybe = len(verify) - 1 - undecided
         assert undecided >= 1
         assert calls == (
-            [((), ())] * 3 + [((r,), ()) for r in range(3)]
-            + [((), ())] + [((0,), (b,)) for b in range(undecided)]
-            + [((1,), (b,)) for b in range(maybe)] + [((), b) for b in plan])
+            [()] * 3 + [(r,) for r in range(3)]
+            + [()] + [(0, b) for b in range(undecided)]
+            + [(1, b) for b in range(maybe)] + plan)
