@@ -219,6 +219,16 @@ def std_normal_quantile(p: float) -> float:
     return x
 
 
+def median_of_max(n: int) -> float:
+    """Median z_n of the maximum of n standard normals: Phi(z_n)**n = 1/2.
+
+    z_n = -Phi^-1(1 - 2^(-1/n)), with the upper tail 1 - 2^(-1/n) taken
+    through expm1 so that counts up to 2**36 keep its digits; z_1 = 0.
+    """
+    n = _require_count("n", n)
+    return -std_normal_quantile(-math.expm1(-math.log(2.0) / n))
+
+
 # Gauss-Kronrod (7, 15) nodes and weights on [-1, 1]; positive half only.
 # Kronrod points at odd indices 1, 3, 5 plus the center form the Gauss-7 rule.
 _XGK = (0.991455371120812639206854697526329,

@@ -46,7 +46,7 @@ from threshcal.errors import (
     IntegrationError,
     SolverError,
 )
-from threshcal.gaussian import std_normal_quantile
+from threshcal.gaussian import median_of_max, std_normal_quantile
 
 # Working precision of the mpmath oracles, set inside each one so that no
 # test module's choice leaks into another's.
@@ -172,12 +172,12 @@ class TestConditionalExceedance:
         for threshold, n in [(1.0, 40), (0.5, 40), (2.0, 160)]:
             expected = mp_conditional_exceedance(1.0, threshold, n, 0.01, 10.0)
             got = conditional_exceedance(DEMO, threshold, n, DEMO_PRIOR)
-            assert got == pytest.approx(expected, rel=1e-6)
+            assert got == pytest.approx(expected, rel=1e-6, abs=0.0)
         for q0, threshold, n, sigma_lo, sigma_hi in self.WIDE_PRIOR_POINTS:
             expected = bump_oracle.conditional_exceedance(q0, threshold, n, sigma_lo, sigma_hi)
             got = conditional_exceedance(SafetySpec(q0=q0, p0=0.01), threshold, n,
                                          SigmaPrior.log_uniform(sigma_lo, sigma_hi))
-            assert got == pytest.approx(expected, rel=1e-6)
+            assert got == pytest.approx(expected, rel=1e-6, abs=0.0)
 
     def test_decreasing_in_n(self):
         values = [conditional_exceedance(DEMO, 0.5, n, DEMO_PRIOR) for n in (10, 40, 160)]
@@ -466,16 +466,24 @@ class TestCappedShortcut:
 
 
 class TestWarmStart:
-    """Uncapped schedule rows resume the doubling where the row before left it."""
+    """Uncapped schedule rows resume the doubling where the row before left
+    it, and take every probe at or above an infeasible guess as infeasible."""
 
+    # Each row must equal its cold row.  Beyond the proven warm start, that
+    # rests on the exceedance rising with the threshold above the previous
+    # row's threshold, which this property checks: the guess's skips are
+    # sound only where it holds.
     @settings(max_examples=30, deadline=None)
     @given(p0=st.floats(1e-6, 0.2),
            counts=st.sets(st.integers(1, 2**20), min_size=2, max_size=6).map(sorted),
-           prior=st.sampled_from([(0.01, 10.0), (0.01, 1.0), (0.5, 0.6)]),
+           prior=st.sampled_from([(0.01, 10.0), (0.01, 1.0), (0.5, 0.6), (1e-3, 1e3),
+                                  (0.1, 100.0)]),
            cap=st.booleans())
     # at 29739, q0 raises InfeasibleConditioningError; the warm-started row
     # never evaluates it, and the cold one doubles on past it
     @example(p0=0.03125, counts=[63, 29739], prior=(0.5, 0.6), cap=False)
+    # after a row at n = 1 there is no guess: z(1) = 0
+    @example(p0=0.125, counts=[1, 2], prior=(0.01, 10.0), cap=False)
     def test_schedule_rows_equal_cold_rows(self, p0, counts, prior, cap):
         spec, prior = SafetySpec(q0=1.0, p0=p0), SigmaPrior.log_uniform(*prior)
         cold, failure = [], None
@@ -499,12 +507,50 @@ class TestWarmStart:
         calls = TestCappedShortcut._count_calls(monkeypatch)
         counts = [40, 80, 160, 320, 640]
         calibrate_schedule(DEMO, DEMO_PRIOR, counts, cap_at_q0=False)
-        assert len(calls) == 42        # 49 when every row starts at q0
+        # 42 without the guesses, 49 when every row starts at q0
+        assert len(calls) == 31
         assert [n for _, t, n, *_ in calls if t == DEMO.q0] == [40]
         # uncapped, q0's probe too is only compared with p0; a bisection
         # probe also with p0 - tol, where the search ends
         assert {above for *_, above, _ in calls} == {DEMO.p0}
         assert {below for *_, below in calls} == {DEMO.p0, DEMO.p0 - 1e-4}
+
+    @staticmethod
+    def _guesses(rows, counts):
+        """Each warm row's guess, keyed by its count, from the rows before."""
+        return {n: calibration._GUESS_MARGIN * row.threshold * median_of_max(n)
+                / median_of_max(n_prev)
+                for n_prev, n, row in zip(counts, counts[1:], rows)}
+
+    def test_no_probe_at_or_above_an_infeasible_guess(self, monkeypatch):
+        counts = [40, 80, 160, 320, 640]
+        rows = [calibrate_threshold(DEMO, n, DEMO_PRIOR, cap_at_q0=False) for n in counts]
+        guesses = self._guesses(rows, counts)
+        calls = TestCappedShortcut._count_calls(monkeypatch)
+        assert calibrate_schedule(DEMO, DEMO_PRIOR, counts, cap_at_q0=False)[1] == tuple(rows)
+        for n, guess in guesses.items():
+            assert conditional_exceedance(DEMO, guess, n, DEMO_PRIOR) > DEMO.p0
+            assert [t for _, t, m, *_ in calls if m == n and t >= guess] == [guess]
+
+    @pytest.mark.parametrize("error", [
+        IntegrationError("budget exhausted", estimate=(1.0, 1.0), error_bound=(1.0, 1.0)),
+        InfeasibleConditioningError("negligible probability")])
+    def test_a_guess_whose_probe_raises_is_dropped(self, monkeypatch, error):
+        counts = [40, 80, 160, 320, 640]
+        rows = [calibrate_threshold(DEMO, n, DEMO_PRIOR, cap_at_q0=False) for n in counts]
+        guesses = set(self._guesses(rows, counts).items())
+        raised = []
+        real = calibration.conditional_exceedance
+
+        def failing(spec, threshold, n, *args, **kwargs):
+            if (n, threshold) in guesses:
+                raised.append(n)
+                raise error
+            return real(spec, threshold, n, *args, **kwargs)
+
+        monkeypatch.setattr(calibration, "conditional_exceedance", failing)
+        assert calibrate_schedule(DEMO, DEMO_PRIOR, counts, cap_at_q0=False)[1] == tuple(rows)
+        assert raised == counts[1:]
 
     @pytest.mark.parametrize("warm_start", [1.0, 2.0**10, 2.0**64, 2.0**70, math.inf])
     def test_expansion_limit_counts_from_q0(self, monkeypatch, warm_start):
@@ -790,10 +836,12 @@ class TestPromiseOverTheJobRange:
 
     def test_oracle_reproduces_wide_prior_references(self):
         for *job, value in self.REFERENCES:
-            assert bump_oracle.conditional_exceedance(*job) == pytest.approx(value, rel=1e-12)
+            assert bump_oracle.conditional_exceedance(*job) == \
+                pytest.approx(value, rel=1e-12, abs=0.0)
         for threshold, n in [(1.0, 40), (0.5, 40), (2.0, 160)]:
             assert bump_oracle.conditional_exceedance(1.0, threshold, n, 0.01, 10.0) == \
-                pytest.approx(mp_conditional_exceedance(1.0, threshold, n, 0.01, 10.0), rel=1e-12)
+                pytest.approx(mp_conditional_exceedance(1.0, threshold, n, 0.01, 10.0),
+                              rel=1e-12, abs=0.0)
 
     # 19 published rows a run, each checked in 0.1-0.6 s; derandomized, so
     # that the suite stays reproducible while the violations pinned below stand

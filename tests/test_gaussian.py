@@ -28,6 +28,7 @@ from threshcal.gaussian import (
     integrate,
     log_cdf_power,
     log_std_normal_cdf,
+    median_of_max,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -307,6 +308,19 @@ class TestLogCdfPower:
             log_cdf_power(0.0, 0)
         with pytest.raises(DomainError):
             log_cdf_power(0.0, 2.5)
+
+
+class TestMedianOfMax:
+    @pytest.mark.parametrize("n", [2, 40, 2**20, 2**36])
+    def test_max_of_n_draws_stays_below_it_half_the_time(self, n):
+        assert abs(log_cdf_power(median_of_max(n), n) - math.log(0.5)) <= 1e-12
+
+    def test_one_draw_has_median_zero(self):
+        assert median_of_max(1) == 0
+
+    def test_rejects_bad_n(self):
+        with pytest.raises(DomainError):
+            median_of_max(0)
 
 
 class TestIntegrate:
