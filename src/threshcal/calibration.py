@@ -376,8 +376,8 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     Otherwise root-finding is bisection on the rising branch of the threshold
     map, anchored at q0: the bracket expands upward by doubling while the
     exceedance at the top is still below p0 (uncapped, also past an
-    InfeasibleConditioningError at q0), or contracts downward by halving while
-    it is above.  Bisection stops at threshold resolution 1e-9 * q0, at the
+    InfeasibleConditioningError at q0 or at a doubling point), or contracts
+    downward by halving while it is above.  Bisection stops at threshold resolution 1e-9 * q0, at the
     first midpoint whose exceedance lies within tol below p0 (tol is an
     absolute probability), or after _MAX_BISECTIONS steps, whichever comes
     first; stop_reason names which.  The result is always the feasible end of
@@ -395,7 +395,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     every finite value it returns has run to full tolerance.  So a row
     publishes lo's probe value where it is finite, and asks for one more
     call at full tolerance only where lo has no final value: lo settled
-    below its lower cut, or q0 was taken as feasible past an
+    below its lower cut, or lo was taken as feasible past an
     InfeasibleConditioningError.  That the margin keeps every comparison,
     and every quadrature failure, the one a full-tolerance probe would make
     is shown by TestSettledProbes' differential property, not proven; where
@@ -486,9 +486,9 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
             ce_trial = math.inf if trial >= ceiling else conditional_exceedance(
                 spec, trial, n, prior, above=spec.p0, below=spec.p0)
         except InfeasibleConditioningError:
-            if hi is None:
-                raise
-            break   # no threshold below a halving probe can be conditioned on
+            if hi is not None:
+                break   # no threshold below a halving probe can be conditioned on
+            ce_trial = -math.inf   # taken as feasible, as at q0, and the doubling goes on
         steps += 1
         if ce_trial > spec.p0:
             hi = trial

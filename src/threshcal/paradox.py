@@ -57,6 +57,7 @@ from .gaussian import (
     _ACK_LOG_P_HIGH,
     _ACK_LOG_P_LOW,
     _INV_SQRT2,
+    _INV_SQRT_2PI,
     SeededStream,
     _log_std_normal_cdf,
     _require_count,
@@ -65,8 +66,6 @@ from .gaussian import (
     _require_positive,
     integrate,
     log_cdf_power,
-    log_std_normal_cdf,
-    std_normal_pdf,
 )
 
 # Euler-Mascheroni constant, the limit of euler_gamma_partial.
@@ -107,6 +106,13 @@ _RULE_KINDS = ("fixed_threshold", "schedule")
 # (128 KiB each) stay in L2 over its ~30 passes; 16384 beat 8192 and 32768.
 _ARRAY_SLICE = 16384
 
+# A slice's minority branches are deferred, in turn, while their deferred
+# elements together stay within 1/_DEFER_SHARE of the slice: gathered, run
+# once per call after the last slice, and scattered back.  So a call's
+# deferred copies never exceed 1/16 of it (64 KiB of values and indices per
+# _BLOCK_TRIALS block), and a larger minority runs slice by slice.
+_DEFER_SHARE = 16
+
 
 def std_normal_quantile_log(log_p) -> np.ndarray:
     """Phi^-1(exp(log_p)) elementwise, for log_p in [-inf, 0].
@@ -124,39 +130,75 @@ def std_normal_quantile_log(log_p) -> np.ndarray:
 
 
 def _quantile_log_in_place(x: np.ndarray) -> np.ndarray:
-    """std_normal_quantile_log of the C-contiguous float64 array x, written over x."""
+    """std_normal_quantile_log of the C-contiguous float64 array x, written over x.
+
+    Each slice runs its majority branch (central for maxima of a few draws,
+    the upper tail for maxima of many) on all its elements, and its other
+    branches on their gathered elements: with the slice, or deferred to one
+    run per branch and call (_DEFER_SHARE).  A branch no element takes runs
+    nothing.  Every element goes through the same operations as under a
+    three-way mask, so its value is the one that mask would give.
+    """
     flat = x.reshape(-1)
     r, num = np.empty((2, min(flat.size, _ARRAY_SLICE)))
+    deferred = {}   # branch -> [(indices in flat, their values)]
     for start in range(0, flat.size, _ARRAY_SLICE):
         part = flat[start:start + _ARRAY_SLICE]
-        _quantile_log_slice(part, r[:part.size], num[:part.size])
+        for branch, index, values in _quantile_log_slice(part, r[:part.size],
+                                                         num[:part.size]):
+            deferred.setdefault(branch, []).append((index + start, values))
+    with np.errstate(divide="ignore"):
+        for branch, pieces in deferred.items():
+            index, values = (np.concatenate(p) for p in zip(*pieces))
+            for start in range(0, values.size, r.size):
+                chunk = values[start:start + r.size]
+                branch(chunk, r[:chunk.size], num[:chunk.size])
+            flat[index] = values
     return x
 
 
-def _quantile_log_slice(x: np.ndarray, r: np.ndarray, num: np.ndarray) -> None:
-    """std_normal_quantile_log of the 1-d array x, written over x; r and num
-    are scratch of x's length.
+def _quantile_log_slice(x: np.ndarray, r: np.ndarray, num: np.ndarray) -> list:
+    """Run the slice x's majority branch over x and the minority branches
+    too large to defer over their elements; r and num are scratch of x's
+    length.  Returns the deferred ones as (branch, indices in x, values).
 
-    The minority branches' inputs are gathered first.  The majority branch
-    (central for maxima of a few draws, the upper tail for maxima of many)
-    then runs on the whole slice, and the gathered elements on their own
-    before they are scattered back.  Every element goes through the same
-    operations as under a three-way mask, so its value is the one that
-    mask would give.
+    A function of its own, so that the slice's gathers are freed before the
+    next slice makes its own.
     """
-    low = x < _ACK_LOG_P_LOW
-    high = x > _ACK_LOG_P_HIGH
-    upper = 2 * np.count_nonzero(high) > x.size
-    whole, rest = (_upper_in_place, _central_in_place) if upper else \
-        (_central_in_place, _upper_in_place)
-    others = np.flatnonzero(~(low | high) if upper else high)
-    low = np.flatnonzero(low)
-    gathered, lower = x[others], x[low]
+    whole, minorities = _branches(x)
+    room, now, later = x.size // _DEFER_SHARE, [], []
+    for branch, index in minorities:
+        if index.size <= room:
+            room -= index.size
+            later.append((branch, index, x[index]))
+        else:
+            now.append((branch, index, x[index]))
     with np.errstate(all="ignore"):   # values of other branches, overwritten below
         whole(x, r, num)
     with np.errstate(divide="ignore"):
-        x[others] = rest(gathered, r[:others.size], num[:others.size])
-        x[low] = _lower_in_place(lower, r[:low.size], num[:low.size])
+        for branch, index, values in now:
+            x[index] = branch(values, r[:index.size], num[:index.size])
+    return later
+
+
+def _branches(x: np.ndarray) -> tuple[Callable, list[tuple[Callable, np.ndarray]]]:
+    """The majority branch of x (the upper tail where it holds more than half
+    of x, else central), and each other branch that some element of x
+    takes, with the indices of those elements.  Its masks are freed on
+    return, before the majority branch runs."""
+    low = x < _ACK_LOG_P_LOW
+    high = x > _ACK_LOG_P_HIGH
+    n_low, n_high = np.count_nonzero(low), np.count_nonzero(high)
+    minorities = [(_lower_in_place, low)] if n_low else []
+    if 2 * n_high > x.size:
+        whole = _upper_in_place
+        if n_low + n_high < x.size:
+            minorities.append((_central_in_place, ~(low | high)))
+    else:
+        whole = _central_in_place
+        if n_high:
+            minorities.append((_upper_in_place, high))
+    return whole, [(branch, np.flatnonzero(mask)) for branch, mask in minorities]
 
 
 def _central_in_place(lp: np.ndarray, r: np.ndarray, num: np.ndarray) -> np.ndarray:
@@ -558,8 +600,9 @@ def expected_max_exact(n: int, sigma: float = 1.0) -> float:
     sigma = _require_positive("sigma", sigma)
     window = math.sqrt(2.0 * math.log(max(n, 2))) + 9.0
 
-    def integrand(x: float) -> float:
-        return n * x * std_normal_pdf(x) * math.exp((n - 1) * log_std_normal_cdf(x))
+    def integrand(x: float) -> float:   # the nodes are finite: no argument checks
+        pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+        return n * x * pdf * math.exp((n - 1) * _log_std_normal_cdf(x))
 
     return sigma * integrate(integrand, -window, window, rel_tol=1e-11, abs_tol=1e-13)
 

@@ -337,6 +337,22 @@ class TestCalibrateThreshold:
             calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=cap)
         assert probed == [1.0, 0.5, 0.25, 0.125]
 
+    def test_unconditionable_doubling_probe_is_taken_as_feasible(self, monkeypatch):
+        # too rare to condition on up to 2 q0, feasible at 4 q0 and
+        # infeasible from 8 q0: the doubling goes on past q0 and 2 q0 alike
+        probed = []
+
+        def probe(spec, threshold, n, prior, **cuts):
+            probed.append(threshold)
+            if threshold <= 2 * DEMO.q0:
+                raise InfeasibleConditioningError("negligible")
+            return math.inf if threshold >= 8 * DEMO.q0 else DEMO.p0 - 5e-5
+
+        monkeypatch.setattr(calibration, "conditional_exceedance", probe)
+        result = calibrate_threshold(DEMO, 40, DEMO_PRIOR, cap_at_q0=False)
+        assert probed == [1.0, 2.0, 4.0, 8.0, 6.0]
+        assert (result.threshold, result.stop_reason) == (6.0, "tol")
+
     def test_rejects_bad_tol(self):
         with pytest.raises(DomainError):
             calibrate_threshold(DEMO, 40, DEMO_PRIOR, tol=0.0)
@@ -484,6 +500,10 @@ class TestWarmStart:
     @example(p0=0.03125, counts=[63, 29739], prior=(0.5, 0.6), cap=False)
     # after a row at n = 1 there is no guess: z(1) = 0
     @example(p0=0.125, counts=[1, 2], prior=(0.01, 10.0), cap=False)
+    # at 258738 and 687007 the doubling probe 2.0 raises InfeasibleConditioningError;
+    # the warm rows skip it, and the cold ones double on past it, as past q0
+    @example(p0=0.11180534767791545, counts=[2532, 258738, 687007],
+             prior=(0.7984650369309796, 1.490543595831068), cap=False)
     def test_schedule_rows_equal_cold_rows(self, p0, counts, prior, cap):
         spec, prior = SafetySpec(q0=1.0, p0=p0), SigmaPrior.log_uniform(*prior)
         cold, failure = [], None

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threshcal import paradox
 from threshcal.errors import DomainError, IntegrationError
 from threshcal.gaussian import (
     _ACK_LOG_P_HIGH,
@@ -36,8 +37,8 @@ from threshcal.gaussian import (
 )
 from threshcal.paradox import (
     _ARRAY_SLICE,
+    _DEFER_SHARE,
     _quantile_log_in_place,
-    _quantile_log_slice,
     std_normal_quantile_log,
 )
 
@@ -187,8 +188,7 @@ class TestStdNormalQuantileLog:
         log_p = -rng.standard_exponential(size) * 10.0 ** rng.uniform(-12, 2, size)
         log_p[[0, 5, size - 1]] = [-np.inf, 0.0, -1e-300]
         x = std_normal_quantile_log(log_p)
-        whole = log_p.copy()
-        _quantile_log_slice(whole, *np.empty((2, size)))   # one pass over the whole array
+        whole = quantile_in_slices(log_p, size)   # one slice: the whole array
         assert x.tobytes() == whole.tobytes()
         # slices that straddle the evaluation's own slice boundaries
         for start in range(0, size, 5_000):
@@ -217,10 +217,17 @@ class TestStdNormalQuantileLog:
         assert np.array_equal(std_normal_quantile_log(grid), expected.reshape(2, -1).T)
 
 
+def quantile_in_slices(log_p, size):
+    """_quantile_log_in_place over a float copy of log_p, in slices of size elements."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(paradox, "_ARRAY_SLICE", size)
+        return _quantile_log_in_place(np.array(log_p, dtype=float))
+
+
 class TestQuantileLogMatchesMaskedOracle:
     """The slice kernel runs its majority branch (central or upper tail) on
-    every element and then overwrites the others; every value must equal
-    the masked evaluation bit for bit."""
+    every element and then overwrites the others, with the slice or once
+    per call; every value must equal the masked evaluation bit for bit."""
 
     # a central and an upper-tail log-probability, for slices where that
     # branch is the majority
@@ -231,9 +238,10 @@ class TestQuantileLogMatchesMaskedOracle:
         log_p = np.asarray(log_p, dtype=float)
         expected = bruteforce.masked_quantile_log(log_p)
         assert std_normal_quantile_log(log_p).tobytes() == expected.tobytes()
-        whole = log_p.copy()
-        _quantile_log_slice(whole, *np.empty((2, log_p.size)))
-        assert whole.tobytes() == expected.tobytes()
+        # one slice over the whole array, and slices of 64 elements, whose
+        # deferred branches run in chunks of 64
+        for size in (log_p.size, 64):
+            assert quantile_in_slices(log_p, size).tobytes() == expected.tobytes()
 
     def assert_same_bits_in_both_majorities(self, points):
         self.assert_same_bits(points)
@@ -242,7 +250,7 @@ class TestQuantileLogMatchesMaskedOracle:
             log_p[::97] = np.resize(points, log_p[::97].size)
             self.assert_same_bits(log_p)
 
-    @pytest.mark.parametrize("n", [1, 2, 32, 640, 2**20])
+    @pytest.mark.parametrize("n", [1, 2, 3, 32, 40, 150, 640, 1000, 2**20])
     def test_maxima_of_n_draws(self, n):
         # ln U / n is the log-probability the Monte Carlo kernels invert
         rng = np.random.default_rng(n)
@@ -267,6 +275,100 @@ class TestQuantileLogMatchesMaskedOracle:
         log_p[:upper] = -1e-3
         log_p[-50:] = -10.0
         self.assert_same_bits(np.random.default_rng(upper).permutation(log_p))
+
+
+class TestRareBranchDeferral:
+    """A slice's minority branches that fit within 1/_DEFER_SHARE of it, in
+    turn, run once per call after the last slice; a larger one runs with its
+    slice, and a branch no element takes runs nothing.  Every value stays
+    the masked evaluation's."""
+
+    LIMIT = _ARRAY_SLICE // _DEFER_SHARE
+    # a central, an upper-tail and a lower-tail log-probability
+    CENTRAL, UPPER, LOWER = math.log(0.5), -1e-3, -10.0
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The runs of each branch, as (name, elements), in order.  The upper
+        tail runs the lower tail's formula on its own elements, so each of
+        its runs is followed by a lower-tail run of its size."""
+        runs = []
+        for name in ("central", "upper", "lower"):
+            branch = getattr(paradox, f"_{name}_in_place")
+
+            def spy(lp, r, num, name=name, branch=branch):
+                runs.append((name, lp.size))
+                return branch(lp, r, num)
+
+            monkeypatch.setattr(paradox, f"_{name}_in_place", spy)
+        return runs
+
+    def slices(self, background, *minorities, tail=777):
+        """Slices of background, the k-th holding the counts minorities[k]
+        gives each log-probability, shuffled within the slice, then a tail of
+        background."""
+        rng = np.random.default_rng(len(minorities))
+        parts = []
+        for counts in minorities:
+            part = np.full(_ARRAY_SLICE, background)
+            at = 0
+            for value, count in counts.items():
+                part[at:at + count] = value
+                at += count
+            parts.append(rng.permutation(part))
+        return np.concatenate([*parts, np.full(tail, background)])
+
+    @staticmethod
+    def assert_same_bits(log_p):
+        expected = bruteforce.masked_quantile_log(log_p)
+        assert std_normal_quantile_log(log_p).tobytes() == expected.tobytes()
+
+    def test_a_rare_branch_in_some_slices_runs_once(self, runs):
+        log_p = self.slices(self.CENTRAL, {self.UPPER: 100, self.LOWER: 3}, {},
+                            {self.UPPER: 50}, {self.LOWER: 7})
+        self.assert_same_bits(log_p)
+        assert runs == [("central", _ARRAY_SLICE)] * 4 + [("central", 777)] + [
+            ("lower", 10), ("upper", 150), ("lower", 150)]
+
+    def test_a_rare_central_branch_under_upper_majorities_runs_once(self, runs):
+        log_p = self.slices(self.UPPER, {}, {self.CENTRAL: 20}, {},
+                            {self.CENTRAL: 5, self.LOWER: 3})
+        self.assert_same_bits(log_p)
+        upper = [("upper", _ARRAY_SLICE), ("lower", _ARRAY_SLICE)]
+        assert runs == upper * 4 + [("upper", 777), ("lower", 777)] + [
+            ("central", 25), ("lower", 3)]
+
+    # the first slice's minorities fill the limit exactly, or overshoot it by
+    # one, alone or with a lower tail deferred first
+    @pytest.mark.parametrize("lower,upper", [(0, LIMIT), (0, LIMIT + 1),
+                                             (6, LIMIT - 6), (6, LIMIT - 5)])
+    def test_either_side_of_the_limit(self, runs, lower, upper):
+        log_p = self.slices(self.CENTRAL, {self.LOWER: lower, self.UPPER: upper},
+                            *[{self.UPPER: 10}] * 3)
+        self.assert_same_bits(log_p)
+        upper_runs = [size for name, size in runs if name == "upper"]
+        assert upper_runs == ([upper + 30] if lower + upper <= self.LIMIT else [upper, 30])
+        assert sorted(size for name, size in runs if name == "lower") == sorted(
+            upper_runs + ([lower] if lower else []))
+
+    # n = 1000: no central or lower-tail element; n = 40: no lower-tail
+    # element, and an upper tail of about 38%, run with its slice
+    @pytest.mark.parametrize("n,central_runs", [(1000, 0), (40, 4)])
+    def test_maxima_with_an_empty_branch(self, runs, n, central_runs):
+        rng = np.random.default_rng(n)
+        log_p = np.log(rng.random(3 * _ARRAY_SLICE + 77)) / n
+        assert not np.any(log_p < _ACK_LOG_P_LOW)
+        self.assert_same_bits(log_p)
+        assert [name for name, _ in runs].count("central") == central_runs
+        upper = [size for name, size in runs if name == "upper"]
+        assert len(upper) == 4
+        # each lower-tail run is an upper-tail run's formula on its elements
+        assert [size for name, size in runs if name == "lower"] == upper
+
+    def test_a_slice_of_one_branch_runs_nothing_else(self, runs):
+        log_p = np.log(np.random.default_rng(3).uniform(0.1, 0.9, 2 * _ARRAY_SLICE))
+        self.assert_same_bits(log_p)
+        assert runs == [("central", _ARRAY_SLICE)] * 2
 
 
 class TestLogCdfPower:

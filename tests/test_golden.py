@@ -25,6 +25,13 @@ later change of that driver from threads to a plain loop.  The
 exceedances became one Binomial(trials, 1/(n+1)) draw that runs no
 blocks (a new stream format for that command only).
 
+Two more `expected-max` cases, at n = 2 and n = 1000 with the same
+3 * 2**16 + 777 trials, were recorded before the vector quantile ran its
+rare branches once per call instead of once per slice.  At n = 2 the
+upper and lower tails of every block are deferred; at n = 1000 the
+central and lower branches are empty in every slice and run nothing.
+They pin that the deferral moves no byte.
+
 Seven input-error cases pin exit 1 and the exact stderr of a bad job, a
 bad flag, a bad schedule, an unknown subcommand and a missing job file.
 They were recorded at commit f5e44c8, while the CLI still re-raised the
@@ -66,6 +73,10 @@ DRIVER_CASES = {
         ("simulate", "minimal_effort", "--trials", MULTI_BLOCK_TRIALS),
     f"expected-max-n=40-trials={MULTI_BLOCK_TRIALS}":
         ("expected-max", "--n", "40", "--trials", MULTI_BLOCK_TRIALS),
+    f"expected-max-n=2-trials={MULTI_BLOCK_TRIALS}":
+        ("expected-max", "--n", "2", "--trials", MULTI_BLOCK_TRIALS),
+    f"expected-max-n=1000-trials={MULTI_BLOCK_TRIALS}":
+        ("expected-max", "--n", "1000", "--trials", MULTI_BLOCK_TRIALS),
 }
 
 # name: (job file fields, or None for no job file; schedule CSV; argv)
