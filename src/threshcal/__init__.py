@@ -5,11 +5,11 @@ probability into a count-dependent test-threshold schedule, and ships a
 seeded Monte Carlo harness that demonstrates why a fixed test threshold
 punishes whoever measures more than a standard requires.
 
-The names defined in threshcal.paradox (the Monte Carlo kernels and
-their reports, the expected-maximum routes, EULER_GAMMA and
-std_normal_quantile_log; _PARADOX_NAMES lists them) load lazily: the
-first access imports that module, and numpy with it.  Importing the
-package, or calibrating with it, loads neither.
+The names of __all__ that the imports below do not bind are those of
+threshcal.paradox (the Monte Carlo kernels and their reports, the
+expected-maximum routes, EULER_GAMMA and std_normal_quantile_log).  They
+load lazily (PEP 562): the first access imports that module, and numpy
+with it.  Importing the package, or calibrating with it, loads neither.
 """
 
 from .calibration import (
@@ -43,23 +43,6 @@ from .gaussian import (
     std_normal_quantile,
     std_normal_sf,
 )
-
-# Served from threshcal.paradox by __getattr__ (PEP 562).
-_PARADOX_NAMES = frozenset({
-    "EULER_GAMMA",
-    "DesignScenario",
-    "ParadoxPoint",
-    "SimulationReport",
-    "estimate_conditional_exceedance",
-    "euler_gamma_partial",
-    "expected_max_asymptotic",
-    "expected_max_exact",
-    "expected_max_monte_carlo",
-    "paradox_curve",
-    "simulate_compliance",
-    "simulate_minimal_effort",
-    "std_normal_quantile_log",
-})
 
 __version__ = "0.1.0"
 
@@ -106,7 +89,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    if name in _PARADOX_NAMES:
+    # Only names the imports above left unbound get here: the paradox ones.
+    if name in __all__:
         from . import paradox
 
         return getattr(paradox, name)
@@ -114,4 +98,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *_PARADOX_NAMES})
+    return sorted({*globals(), *__all__})

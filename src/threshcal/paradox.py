@@ -132,8 +132,9 @@ def std_normal_quantile_log(log_p) -> np.ndarray:
 def _quantile_log_in_place(x: np.ndarray) -> np.ndarray:
     """std_normal_quantile_log of the C-contiguous float64 array x, written over x.
 
-    Each slice runs its majority branch (central for maxima of a few draws,
-    the upper tail for maxima of many) on all its elements, and its other
+    Each slice runs the branch most of its elements take (central for maxima
+    of a few draws, the upper tail for maxima of many, the lower tail for
+    log-probabilities below ln 0.02425) on all its elements, and its other
     branches on their gathered elements: with the slice, or deferred to one
     run per branch and call (_DEFER_SHARE).  A branch no element takes runs
     nothing.  Every element goes through the same operations as under a
@@ -158,16 +159,29 @@ def _quantile_log_in_place(x: np.ndarray) -> np.ndarray:
 
 
 def _quantile_log_slice(x: np.ndarray, r: np.ndarray, num: np.ndarray) -> list:
-    """Run the slice x's majority branch over x and the minority branches
-    too large to defer over their elements; r and num are scratch of x's
-    length.  Returns the deferred ones as (branch, indices in x, values).
+    """Run over the slice x the branch most of its elements take, and over
+    their gathered elements the other branches too large to defer; r and
+    num are scratch of x's length.  Returns the deferred ones as (branch,
+    indices in x, values).
 
-    A function of its own, so that the slice's gathers are freed before the
-    next slice makes its own.
+    The lower tail runs whole only with a strict plurality, the upper tail
+    only where it beats central.  A function of its own, so that the
+    slice's gathers are freed before the next slice makes its own.
     """
-    whole, minorities = _branches(x)
+    low = x < _ACK_LOG_P_LOW
+    high = x > _ACK_LOG_P_HIGH
+    n_low, n_high = np.count_nonzero(low), np.count_nonzero(high)
+    n_mid = x.size - n_low - n_high
+    whole = (_lower_in_place if n_low > max(n_mid, n_high)
+             else _upper_in_place if n_high > n_mid else _central_in_place)
+    others = [(branch, np.flatnonzero(~(low | high) if mask is None else mask))
+              for branch, count, mask in ((_lower_in_place, n_low, low),
+                                          (_central_in_place, n_mid, None),
+                                          (_upper_in_place, n_high, high))
+              if count and branch is not whole]
+    del low, high   # freed before the gathers, so no mask adds to the slice peak
     room, now, later = x.size // _DEFER_SHARE, [], []
-    for branch, index in minorities:
+    for branch, index in others:
         if index.size <= room:
             room -= index.size
             later.append((branch, index, x[index]))
@@ -179,26 +193,6 @@ def _quantile_log_slice(x: np.ndarray, r: np.ndarray, num: np.ndarray) -> list:
         for branch, index, values in now:
             x[index] = branch(values, r[:index.size], num[:index.size])
     return later
-
-
-def _branches(x: np.ndarray) -> tuple[Callable, list[tuple[Callable, np.ndarray]]]:
-    """The majority branch of x (the upper tail where it holds more than half
-    of x, else central), and each other branch that some element of x
-    takes, with the indices of those elements.  Its masks are freed on
-    return, before the majority branch runs."""
-    low = x < _ACK_LOG_P_LOW
-    high = x > _ACK_LOG_P_HIGH
-    n_low, n_high = np.count_nonzero(low), np.count_nonzero(high)
-    minorities = [(_lower_in_place, low)] if n_low else []
-    if 2 * n_high > x.size:
-        whole = _upper_in_place
-        if n_low + n_high < x.size:
-            minorities.append((_central_in_place, ~(low | high)))
-    else:
-        whole = _central_in_place
-        if n_high:
-            minorities.append((_upper_in_place, high))
-    return whole, [(branch, np.flatnonzero(mask)) for branch, mask in minorities]
 
 
 def _central_in_place(lp: np.ndarray, r: np.ndarray, num: np.ndarray) -> np.ndarray:
@@ -314,11 +308,11 @@ def _map_blocks(stream: SeededStream, counts: Sequence[int],
     return results
 
 
-def _log_uniform(gen: np.random.Generator, size: int) -> np.ndarray:
-    """ln U for size uniforms U on the open interval (0, 1)."""
-    log_u = gen.standard_exponential(size)
-    np.maximum(log_u, _MIN_EXPONENTIAL, out=log_u)
-    return np.negative(log_u, out=log_u)
+def _log_uniform(gen: np.random.Generator, size: int, n: int) -> np.ndarray:
+    """ln U / n for size uniforms U on the open interval (0, 1)."""
+    e = gen.standard_exponential(size)
+    np.maximum(e, _MIN_EXPONENTIAL, out=e)
+    return np.divide(e, -n, out=e)
 
 
 def _draw_exceedance_counts(stream: SeededStream, trials: int,
@@ -618,9 +612,7 @@ def expected_max_monte_carlo(n: int, sigma: float, trials: int,
         raise DomainError("need at least 2 trials for a standard error")
 
     def block(gen, _, size):
-        log_u = _log_uniform(gen, size)
-        log_u /= n
-        m = _quantile_log_in_place(log_u)
+        m = _quantile_log_in_place(_log_uniform(gen, size, n))
         total = float(m.sum())
         m *= m
         return total, float(m.sum())

@@ -225,13 +225,13 @@ def quantile_in_slices(log_p, size):
 
 
 class TestQuantileLogMatchesMaskedOracle:
-    """The slice kernel runs its majority branch (central or upper tail) on
-    every element and then overwrites the others, with the slice or once
-    per call; every value must equal the masked evaluation bit for bit."""
+    """The slice kernel runs the branch most of its elements take on every
+    element and then overwrites the others, with the slice or once per
+    call; every value must equal the masked evaluation bit for bit."""
 
-    # a central and an upper-tail log-probability, for slices where that
-    # branch is the majority
-    BACKGROUNDS = (math.log(0.5), -1e-3)
+    # a central, an upper-tail and a lower-tail log-probability, for slices
+    # where that branch is the majority
+    BACKGROUNDS = (math.log(0.5), -1e-3, -10.0)
 
     @staticmethod
     def assert_same_bits(log_p):
@@ -243,7 +243,7 @@ class TestQuantileLogMatchesMaskedOracle:
         for size in (log_p.size, 64):
             assert quantile_in_slices(log_p, size).tobytes() == expected.tobytes()
 
-    def assert_same_bits_in_both_majorities(self, points):
+    def assert_same_bits_in_each_majority(self, points):
         self.assert_same_bits(points)
         for background in self.BACKGROUNDS:
             log_p = np.full(1_000, background)
@@ -256,8 +256,15 @@ class TestQuantileLogMatchesMaskedOracle:
         rng = np.random.default_rng(n)
         self.assert_same_bits(np.log(rng.random(3 * _ARRAY_SLICE + 77)) / n)
 
+    # ln(top U) lies below ln 0.02425 everywhere at top = 0.02, and in about
+    # 81% of the elements at 0.03, the rest central
+    @pytest.mark.parametrize("top", [0.02, 0.03])
+    def test_mostly_lower_tail(self, top):
+        rng = np.random.default_rng(2)
+        self.assert_same_bits(np.log(top * rng.random(3 * _ARRAY_SLICE + 77)))
+
     def test_ends_and_extremes(self):
-        self.assert_same_bits_in_both_majorities(
+        self.assert_same_bits_in_each_majority(
             [-np.inf, 0.0, -0.0, -1e-300, -5e-324, -1e300])
 
     def test_branch_boundaries_and_neighbours(self):
@@ -267,8 +274,18 @@ class TestQuantileLogMatchesMaskedOracle:
             above = np.nextafter(edge, np.inf)
             edges += [np.nextafter(below, -np.inf), below, edge, above,
                       np.nextafter(above, np.inf)]
-        self.assert_same_bits_in_both_majorities(edges)
+        self.assert_same_bits_in_each_majority(edges)
 
+    # with 50 lower-tail elements, the upper tail outnumbers central from 476 on
+    @pytest.mark.parametrize("upper", [474, 475, 476])
+    def test_either_side_of_the_upper_central_switch(self, upper):
+        log_p = np.full(1_000, math.log(0.5))
+        log_p[:upper] = -1e-3
+        log_p[-50:] = -10.0
+        self.assert_same_bits(np.random.default_rng(upper).permutation(log_p))
+
+    # around half the slice, where the upper tail once had to hold a majority
+    # to run whole; with 50 lower-tail elements it now runs whole at all three
     @pytest.mark.parametrize("upper", [499, 500, 501])
     def test_either_side_of_the_majority_switch(self, upper):
         log_p = np.full(1_000, math.log(0.5))
@@ -364,6 +381,32 @@ class TestRareBranchDeferral:
         assert len(upper) == 4
         # each lower-tail run is an upper-tail run's formula on its elements
         assert [size for name, size in runs if name == "lower"] == upper
+
+    def test_lower_tail_majorities_run_it_over_each_slice(self, runs):
+        log_p = self.slices(self.LOWER, {self.CENTRAL: 20, self.UPPER: 5}, {},
+                            {self.UPPER: 30})
+        self.assert_same_bits(log_p)
+        assert runs == [("lower", _ARRAY_SLICE)] * 3 + [("lower", 777)] + [
+            ("central", 20), ("upper", 35), ("lower", 35)]
+
+    def test_a_plurality_without_a_majority_runs_whole(self, runs):
+        # 45% upper tail, 40% central and 15% lower tail: the upper tail runs
+        # over the slice, and the two others, past the limit, with it
+        log_p = self.slices(self.CENTRAL, {self.UPPER: 7_373, self.LOWER: 2_458}, tail=0)
+        self.assert_same_bits(log_p)
+        assert runs == [("upper", _ARRAY_SLICE), ("lower", _ARRAY_SLICE),
+                        ("lower", 2_458), ("central", 6_553)]
+
+    # two branches of 8,000 elements each and a third of 384: a tie goes to
+    # central, and between the tails to the upper one
+    @pytest.mark.parametrize("whole,background,counts", [
+        ("central", CENTRAL, {UPPER: 8_000, LOWER: 384}),
+        ("central", CENTRAL, {LOWER: 8_000, UPPER: 384}),
+        ("upper", UPPER, {LOWER: 8_000, CENTRAL: 384})],
+        ids=["upper-central", "lower-central", "lower-upper"])
+    def test_a_tie(self, runs, whole, background, counts):
+        self.assert_same_bits(self.slices(background, counts, tail=0))
+        assert runs[0] == (whole, _ARRAY_SLICE)
 
     def test_a_slice_of_one_branch_runs_nothing_else(self, runs):
         log_p = np.log(np.random.default_rng(3).uniform(0.1, 0.9, 2 * _ARRAY_SLICE))

@@ -721,10 +721,10 @@ class _ZeroExponentials:
 class TestLogUniform:
     def test_zero_exponential_stays_inside_open_interval(self):
         # an exponential draw of exactly 0 would mean U = 1 and an infinite maximum
-        log_u = _log_uniform(_ZeroExponentials(), 4)
-        assert np.all(log_u < 0.0)
         for n in (1, 640, 10**6):
-            assert np.all(np.isfinite(std_normal_quantile_log(log_u / n)))
+            log_u = _log_uniform(_ZeroExponentials(), 4, n)
+            assert np.all(log_u < 0.0)
+            assert np.all(np.isfinite(std_normal_quantile_log(log_u)))
 
 
 # Counts of the equivalence tests: the same distributions as drawing every
