@@ -63,16 +63,8 @@ _LOG_FLOAT_MAX = math.log(math.nextafter(math.inf, 0.0))   # math.exp overflows 
 
 # A probe compared only with cuts stops its quadrature once its cut lies this
 # many error estimates away from the value (conditional_exceedance's `above`
-# and `below`)...
+# and `below`).
 _SETTLE_MARGIN = 1000.0
-# ...and only while N / D is within this factor, either way, of its value
-# on the quadrature's initial grid.  integrate weighs the numerator's errors
-# against the denominator's by D / N on that grid.  Where the grid missed N
-# by a factor g, one component's rounding noise, weighted g (or 1/g) times
-# off, outranks the other's errors once g (or 1/g) nears rel_tol / eps,
-# about 4.5e5: the full quadrature then starves the other component and can
-# run out of budget.
-_SETTLE_GRID_FACTOR = 1000.0
 
 # A warm schedule row's guess scales the previous threshold by the growth of
 # the median maximum, z(n') / z(n_prev), which undershoots the demo job's
@@ -264,11 +256,9 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
     side implies it): where the nodes missed most of N, its error estimate
     is as large as N itself, and a value below `below` would mean nothing.
     The estimates are not bounds, so the margin is a heuristic, backed by
-    the differential property of tests/test_calibration.py's
-    TestSettledProbes.  The stop also waits while N / D is more than
-    _SETTLE_GRID_FACTOR times off its value on the initial grid: there
-    the full quadrature can run out of budget (IntegrationError), and a
-    probe that stopped early would hide that.
+    the differential properties of tests/test_calibration.py's
+    TestSettledProbes.  The check is a function of D, N, eD and eN alone,
+    and integrate asks it again on exact sums before it ends refinement.
     A probe that settles returns only its side: math.inf above `above`,
     -math.inf below `below`.  Every finite value has run to the full
     1e-10: a value between the cuts (inclusive), and every value on the
@@ -319,20 +309,13 @@ def conditional_exceedance(spec: SafetySpec, threshold: float, n: int,
     below = below if below is not None and below >= sys.float_info.min else 0.0
     stop = settled = None   # settled: math.inf above `above`, -math.inf below `below`
     if above < math.inf or below > 0.0:
-        grid = []   # N / D on the initial grid: integrate asks stop there first
-
         def stop(denom: float, numer: float, err_d: float, err_n: float) -> bool:
             nonlocal settled
-            if not grid:
-                grid.append(numer / denom if denom > 0.0 else 0.0)
-            # N and D each within K error estimates of their running totals
             n_lo, n_hi = numer - _SETTLE_MARGIN * err_n, numer + _SETTLE_MARGIN * err_n
             d_lo, d_hi = denom - _SETTLE_MARGIN * err_d, denom + _SETTLE_MARGIN * err_d
-            if (conditionable(d_lo) and n_lo > 0.0
-                    and (n_lo > above * d_hi or n_hi < below * d_lo)
-                    and grid[0] / _SETTLE_GRID_FACTOR <= numer / denom
-                    <= _SETTLE_GRID_FACTOR * grid[0]):
-                settled = math.inf if n_lo > above * d_hi else -math.inf
+            side = math.inf if n_lo > above * d_hi else -math.inf if n_hi < below * d_lo else None
+            # the floor last, since it takes a log
+            settled = side if side is not None and n_lo > 0.0 and conditionable(d_lo) else None
             return settled is not None
 
     failure = None
@@ -398,7 +381,7 @@ def calibrate_threshold(spec: SafetySpec, n: int, prior: SigmaPrior,
     below its lower cut, or lo was taken as feasible past an
     InfeasibleConditioningError.  That the margin keeps every comparison,
     and every quadrature failure, the one a full-tolerance probe would make
-    is shown by TestSettledProbes' differential property, not proven; where
+    is shown by TestSettledProbes' differential properties, not proven; where
     a settled lo turns out above p0 at full tolerance, SolverError is
     raised.
 

@@ -254,6 +254,8 @@ _WG_CENTER = 0.417959183673469387755102040816327
 
 # Equal panels of the fixed grid that integrate() evaluates before refining.
 _INITIAL_PANELS = 8
+# Factor, either way, by which integrate()'s split weight moves before a re-key.
+_REKEY_FACTOR = 16.0
 
 
 def _is_pair(value) -> bool:
@@ -283,25 +285,28 @@ def integrate(f: Callable, lo: float, hi: float,
     evaluation budget, so every node is evaluated once for both.
     Refinement runs until each component meets its own tolerance, and the
     panel split next is the one with the largest error measured in units
-    of each component's tolerance on the initial grid.  A scalar f runs as
-    the pair (value, 0.0), whose second component has zero error and so
-    never sets the refinement order or the stop: scalar results keep the
-    refinement order and the value they always had.
+    of each component's tolerance.  The units come from the initial grid's
+    totals, and again, the panels re-keyed, from exact totals wherever the
+    running ones have moved their ratio 16-fold at a power-of-two panel
+    count.  A scalar f runs as the pair (value, 0.0), whose second
+    component has zero error and so never sets the refinement order.
 
     stop, when given, is called as stop(total_w, total_u, err_w, err_u) on
-    the running totals of both components and their error bounds (a scalar
-    f's second component is 0.0 with error 0.0) before each split: first
-    on the initial grid's totals, then after each split that leaves the
-    tolerance unmet.
-    Once it returns true, refinement ends and the estimate so far is
-    returned, so a caller that needs only a bound on the integrals stops
-    as soon as the error bounds settle it.  It is asked before the budget
-    is.  Without stop, refinement runs to the tolerance.
+    the totals of both components and their error bounds (a scalar f's
+    second component is 0.0 with error 0.0) before each split: first on
+    the initial grid's totals, then after each split that leaves the
+    tolerance unmet.  Running totals can keep the rounding of a large
+    panel that was split, so after a split a stop that holds is asked
+    again on the totals summed exactly over the panels, and refinement
+    goes on from those unless it holds again.  Once it ends, the estimate
+    so far is returned, so a caller that needs only a bound on the
+    integrals stops as soon as the error bounds settle it.  It is asked
+    before the budget is.  Without stop, refinement runs to the tolerance.
 
     Raises IntegrationError, carrying the best estimate and its error
-    bound (pairs for a pair-valued f), if the evaluation budget runs out
-    first.  The budget gates subdivision; the initial grid is always
-    evaluated.
+    bound, each summed exactly (pairs for a pair-valued f), if the
+    evaluation budget runs out first.  The budget gates subdivision; the
+    initial grid is always evaluated.
     """
     lo = _require_finite("lo", lo)
     hi = _require_finite("hi", hi)
@@ -360,37 +365,46 @@ def integrate(f: Callable, lo: float, hi: float,
         panels.append((a, b, wi, ui, we, ue))
         total_w, total_u, err_w, err_u = total_w + wi, total_u + ui, err_w + we, err_u + ue
 
-    # Weight of the second component's errors, in units of the first one's
-    # tolerance (not formed: it underflows for a subnormal component).  A far
-    # smaller or zero component gets the largest finite weight, so its errors
-    # are never starved by the first one's.
-    scale_w = max(abs(total_w), abs_tol / rel_tol)
-    scale_u = max(abs(total_u), abs_tol / rel_tol)
-    weight = (1.0 if scale_w == 0.0 else min(scale_w / scale_u, _FLOAT_MAX) if scale_u > 0.0
-              else _FLOAT_MAX)
+    def split_weight(total_w: float, total_u: float) -> float:
+        """Weight of the second component's errors in units of the first one's
+        tolerance (not formed: it underflows for a subnormal component).  A far
+        smaller or zero component gets the largest finite weight."""
+        scale_w = max(abs(total_w), abs_tol / rel_tol)
+        scale_u = max(abs(total_u), abs_tol / rel_tol)
+        return (1.0 if scale_w == 0.0 else min(scale_w / scale_u, _FLOAT_MAX) if scale_u > 0.0
+                else _FLOAT_MAX)
+
+    weight = split_weight(total_w, total_u)
     heap = [(-max(we, ue * weight), counter, a, b, wi, ui, we, ue)
             for counter, (a, b, wi, ui, we, ue) in enumerate(panels)]
     heapq.heapify(heap)
     counter = len(heap)
 
-    def fail(message: str, pending: tuple | None = None) -> IntegrationError:
-        best = [math.fsum(seg[j] for seg in heap) for j in (4, 5)]
-        if pending is not None:
-            best = [s + p for s, p in zip(best, pending)]
-        best, err = (tuple(best), (err_w, err_u)) if pair else (best[0], err_w)
+    def sums(*columns: int) -> list[float]:
+        """Heap columns (4, 5: the components; 6, 7: their errors), each summed exactly."""
+        return [math.fsum(seg[j] for seg in heap) for j in columns]
+
+    def fail(message: str) -> IntegrationError:
+        w, u, ew, eu = sums(4, 5, 6, 7)
+        best, err = ((w, u), (ew, eu)) if pair else (w, ew)
         return IntegrationError(f"{message}; best estimate {best!r} with error bound {err!r}",
                                 estimate=best, error_bound=err)
 
     while err_w > max(rel_tol * abs(total_w), abs_tol) or \
             err_u > max(rel_tol * abs(total_u), abs_tol):
         if stop is not None and stop(total_w, total_u, err_w, err_u):
-            break
+            if counter == len(panels):   # the grid's totals are plain sums of its panels
+                break
+            total_w, total_u, err_w, err_u = sums(4, 5, 6, 7)
+            if stop(total_w, total_u, err_w, err_u):
+                return (total_w, total_u) if pair else total_w
         if evals + 30 > max_evals:
             raise fail(f"quadrature budget of {max_evals} evaluations exhausted")
-        _, _, a, b, wi, ui, we, ue = heapq.heappop(heap)
+        _, _, a, b, wi, ui, we, ue = item = heapq.heappop(heap)
         m = 0.5 * (a + b)
         if not (a < m < b):
-            raise fail(f"interval [{a}, {b}] cannot be split further", (wi, ui))
+            heap.append(item)
+            raise fail(f"interval [{a}, {b}] cannot be split further")
         lw, lu, lwe, lue = panel(a, m, f(0.5 * (a + m)))
         rw, ru, rwe, rue = panel(m, b, f(0.5 * (m + b)))
         evals += 30
@@ -401,9 +415,14 @@ def integrate(f: Callable, lo: float, hi: float,
         heapq.heappush(heap, (-max(lwe, lue * weight), counter, a, m, lw, lu, lwe, lue))
         heapq.heappush(heap, (-max(rwe, rue * weight), counter + 1, m, b, rw, ru, rwe, rue))
         counter += 2
+        if counter & (counter - 1) == 0 and not \
+                weight / _REKEY_FACTOR <= split_weight(total_w, total_u) <= _REKEY_FACTOR * weight:
+            total_w, total_u, err_w, err_u = sums(4, 5, 6, 7)
+            weight = split_weight(total_w, total_u)
+            heap[:] = [(-max(seg[6], seg[7] * weight), *seg[1:]) for seg in heap]
+            heapq.heapify(heap)
 
-    best = math.fsum(seg[4] for seg in heap)
-    return (best, math.fsum(seg[5] for seg in heap)) if pair else best
+    return tuple(sums(4, 5)) if pair else sums(4)[0]
 
 
 def _require_index(name: str, i: int) -> int:

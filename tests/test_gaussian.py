@@ -637,7 +637,9 @@ class TestIntegrateVector:
 
 
 class TestIntegrateStop:
-    """stop(total_w, total_u, err_w, err_u) ends refinement once it holds."""
+    """stop(total_w, total_u, err_w, err_u) ends refinement once it holds; after
+    a split, a stop that held on the running totals is asked again on the
+    totals summed exactly over the panels, and must hold there too."""
 
     @staticmethod
     def _run(f, stop, **kwargs):
@@ -650,7 +652,7 @@ class TestIntegrateStop:
 
         def recorded(*args):
             seen.append(args)
-            return stop(len(seen), *args)
+            return stop(*args)
 
         try:
             result = integrate(counted, 0.0, 1.0, stop=recorded, **kwargs)
@@ -658,14 +660,41 @@ class TestIntegrateStop:
             result = exc
         return result, evals[0], seen
 
+    @staticmethod
+    def _first_below(seen, k):
+        """A bound on err_w that the k-th check (from 1) meets and no earlier one does."""
+        bound = seen[k - 1][2] * (1.0 + 1e-6)   # running sums carry some rounding
+        assert all(args[2] > bound for args in seen[:k - 1])
+        return bound
+
     @pytest.mark.parametrize("holds_at", [1, 2, 5])
     def test_checked_after_the_grid_and_after_each_split(self, holds_at):
         f = lambda x: (_bump(x), x * _bump(x))
-        result, evals, seen = self._run(f, lambda calls, *_: calls == holds_at)
-        assert evals == 8 * 15 + 30 * (holds_at - 1) and len(seen) == holds_at
-        total_w, total_u, err_w, err_u = seen[-1]
-        assert result == (pytest.approx(total_w, rel=1e-14), pytest.approx(total_u, rel=1e-14))
-        assert err_w > 1e-10 * total_w    # stopped short of the tolerance
+        _, _, never = self._run(f, lambda *_: False)
+        bound = self._first_below(never, holds_at)
+        result, evals, seen = self._run(f, lambda w, u, err_w, err_u: err_w <= bound)
+        assert evals == 8 * 15 + 30 * (holds_at - 1)
+        assert seen[:holds_at] == never[:holds_at]
+        if holds_at == 1:   # the grid's totals are plain sums of its panels: asked once
+            assert len(seen) == 1
+            assert result == (pytest.approx(seen[0][0], rel=1e-14),
+                              pytest.approx(seen[0][1], rel=1e-14))
+        else:               # asked again on exact sums, which the result is
+            assert len(seen) == holds_at + 1
+            assert seen[-1] == pytest.approx(seen[-2], rel=1e-14)
+            assert result == seen[-1][:2]
+        assert seen[-1][2] > 1e-10 * seen[-1][0]    # stopped short of the tolerance
+
+    def test_a_stop_that_only_rounding_holds_goes_on(self):
+        # the grid's center node sees a spike 1e20 high that the split panels
+        # miss: the running total of u keeps the rounding of 1.3e18, which
+        # wipes out u's integral of 1.0, while the exact sum keeps it
+        f = lambda x: (_bump(x), 1.0 + 1e20 * math.exp(-((x - 1 / 16) / 1e-6) ** 2))
+        result, _, seen = self._run(f, lambda w, u, err_w, err_u: u < 0.5)
+        assert seen[1][1] == 0.0 and seen[2][1] == pytest.approx(1.0, rel=1e-14)
+        assert all(u > 0.5 for _, u, _, _ in seen[2:])   # refinement goes on from exact sums
+        assert result == pytest.approx(integrate(f, 0.0, 1.0), rel=1e-10)
+        assert result[1] == pytest.approx(1.0, rel=1e-14)
 
     def test_first_call_sees_the_initial_grid(self):
         # a budget of one grid returns the grid's totals and error bounds
@@ -689,12 +718,13 @@ class TestIntegrateStop:
         assert all(u == err_u == 0.0 for _, u, _, err_u in seen)
 
     def test_stop_comes_before_the_budget(self):
-        # the budget allows 9 splits; a stop that holds at its 10th check
-        # returns the estimate the budget's error carries
-        exhausted, _, seen = self._run(lambda x: x ** -0.5, lambda *_: False,
-                                       rel_tol=1e-13, max_evals=400)
-        assert isinstance(exhausted, IntegrationError) and len(seen) == 10
-        result, evals, _ = self._run(lambda x: x ** -0.5, lambda calls, *_: calls == 10,
+        # the budget allows 9 splits; a stop that first holds at the 10th
+        # check returns the estimate the budget's error carries
+        exhausted, _, never = self._run(lambda x: x ** -0.5, lambda *_: False,
+                                        rel_tol=1e-13, max_evals=400)
+        assert isinstance(exhausted, IntegrationError) and len(never) == 10
+        bound = self._first_below(never, 10)
+        result, evals, _ = self._run(lambda x: x ** -0.5, lambda w, u, ew, eu: ew <= bound,
                                      rel_tol=1e-13, max_evals=400)
         assert result == exhausted.estimate and evals == 390
 
